@@ -56,6 +56,7 @@ from repro.core.plan import TreatmentPlan, generate_plan
 from repro.core.xmlio import description_to_xml
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Tracer
+from repro.storage.durable_log import DurableLog
 from repro.storage.level2 import Level2Store
 
 __all__ = ["CampaignEngine", "CampaignResult", "run_campaign", "merge_campaign"]
@@ -474,10 +475,7 @@ class CampaignEngine:
         try:
             records = tracer.drain_all()
             if records:
-                path = self.campaign_dir / "traces.jsonl"
-                with open(path, "a", encoding="utf-8") as fh:
-                    for rec in records:
-                        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                DurableLog(self.campaign_dir / "traces.jsonl").append(records, fsync=False)
             snapshot = get_registry().snapshot()
             if snapshot:
                 path = self.campaign_dir / "metrics.json"

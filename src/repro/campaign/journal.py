@@ -42,20 +42,21 @@ physically lives:
 ``campaign_complete``
     all runs staged; only merging can remain.
 
-Every append is flushed and fsynced: a crash never loses an acknowledged
-run, it only re-executes work in flight — and because runs are
-deterministic, re-execution converges to byte-identical data.
+The file is a :class:`~repro.storage.durable_log.DurableLog` and every
+append is fsynced: a crash never loses an acknowledged run, it only
+re-executes work in flight — and because runs are deterministic,
+re-execution converges to byte-identical data.  A torn final entry is
+ignored; a corrupt complete one fails the resume loudly.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from repro.core.errors import RecoveryError
 from repro.core.recovery import check_start_compatibility
+from repro.storage.durable_log import DurableLog
 
 __all__ = ["CampaignJournal"]
 
@@ -68,16 +69,13 @@ class CampaignJournal:
     def __init__(self, campaign_dir) -> None:
         self.root = Path(campaign_dir)
         self.path = self.root / JOURNAL_NAME
+        self._log = DurableLog(self.path)
 
     # ------------------------------------------------------------------
     # Writing
     # ------------------------------------------------------------------
     def _append(self, record: Dict[str, Any]) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._log.append([record])
 
     def record_start(
         self,
@@ -196,15 +194,7 @@ class CampaignJournal:
     # Reading
     # ------------------------------------------------------------------
     def entries(self) -> List[Dict[str, Any]]:
-        if not self.path.exists():
-            return []
-        out = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+        return self._log.records()
 
     def started(self) -> bool:
         return any(e["type"] == "campaign_start" for e in self.entries())

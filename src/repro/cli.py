@@ -868,9 +868,8 @@ def _cmd_inspect(args) -> int:
 
 def _inspect_directory_leases(directory: Path) -> None:
     """Lease view over a level-2 store or campaign directory."""
-    import json
-
     from repro.faults.leases import FaultLeaseStore, iter_lease_files
+    from repro.storage.level2 import Level2Store
 
     active_total = 0
     for path, node in sorted(iter_lease_files(directory)):
@@ -882,16 +881,8 @@ def _inspect_directory_leases(directory: Path) -> None:
     print(f"active leases: {active_total}")
 
     reconciled = []
-    for log in sorted(directory.rglob("fault_leases.jsonl")):
-        with open(log, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    reconciled.append(json.loads(line))
-                except ValueError:
-                    continue
+    for log in sorted(directory.rglob("master/fault_leases.jsonl")):
+        reconciled.extend(Level2Store(log.parent.parent).read_reconciled_leases())
     for rec in reconciled:
         print(f"reconciled lease: {rec.get('lease_id')}  "
               f"kind={rec.get('kind')}  run={rec.get('run_id')}  "

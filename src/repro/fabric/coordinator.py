@@ -56,6 +56,7 @@ from repro.fabric.registry import WorkerRegistry
 from repro.fabric.shipping import CoordinatorShard
 from repro.fabric.wire import FleetServer
 from repro.faults.control import select_control_faults
+from repro.storage.durable_log import fsync_dir
 
 __all__ = ["FabricCoordinator", "serve_campaign"]
 
@@ -611,10 +612,10 @@ class FabricCoordinator:
     def _persist_scope(self, scope_json: Optional[str]) -> None:
         """Durably keep the shipped scope payload, first shipment wins.
 
-        Written (and fsynced) *before* the scope run's shard commit: a
-        journal entry for the scope run therefore implies the scope
-        payload exists, which is what lets the merge trust ``scope.json``
-        unconditionally for fleet campaigns.
+        Written (file and directory fsynced) *before* the scope run's
+        shard commit: a journal entry for the scope run therefore implies
+        the scope payload exists, which is what lets the merge trust
+        ``scope.json`` unconditionally for fleet campaigns.
         """
         if scope_json is None:
             return
@@ -627,6 +628,7 @@ class FabricCoordinator:
                 fh.flush()
                 os.fsync(fh.fileno())
             os.replace(tmp, self.scope_path)
+            fsync_dir(self.scope_path.parent)
 
     # ------------------------------------------------------------------
     # Completion

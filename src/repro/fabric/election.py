@@ -7,8 +7,8 @@ piece — a durable **leadership lease** over the campaign directory, so
 any number of ``repro fabric serve --standby`` processes can tail the
 journal and take over the moment the leader's heartbeat lapses.
 
-The ledger is an append-only JSONL file (``election.jsonl``) fsynced per
-append like the campaign journal, with three record shapes:
+The ledger is a :class:`~repro.storage.durable_log.DurableLog`
+(``election.jsonl``) fsynced per append, with three record shapes:
 
 ``claim``    a coordinator took leadership: monotonically increasing
              **fencing epoch**, leader id, serving endpoint, expiry.
@@ -44,6 +44,7 @@ a live leader to ask.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -52,11 +53,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
 from repro.core.errors import CampaignError
-
-try:  # POSIX advisory locking; the fabric targets Linux hosts.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback (tests only)
-    fcntl = None
+from repro.storage.durable_log import DurableLog
 
 __all__ = [
     "ElectionLedger",
@@ -117,12 +114,13 @@ class ElectionLedger:
             raise CampaignError(f"election ttl must be > 0, got {ttl}")
         self.root = Path(campaign_dir)
         self.path = self.root / ELECTION_NAME
+        self._log = DurableLog(self.path)
         self.lock_path = self.root / LOCK_NAME
         self.ttl = float(ttl)
         self.clock = clock
 
     # ------------------------------------------------------------------
-    # Locking + persistence
+    # Locking
     # ------------------------------------------------------------------
     class _Locked:
         """``with ledger._locked():`` — flock-scoped mutual exclusion."""
@@ -134,57 +132,41 @@ class ElectionLedger:
         def __enter__(self):
             self.ledger.root.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.ledger.lock_path, "a+")
-            if fcntl is not None:
-                fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
+            fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX)
             return self
 
         def __exit__(self, *exc) -> None:
             if self._fh is not None:
-                if fcntl is not None:
-                    fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
+                fcntl.flock(self._fh.fileno(), fcntl.LOCK_UN)
                 self._fh.close()
                 self._fh = None
 
     def _locked(self) -> "ElectionLedger._Locked":
         return ElectionLedger._Locked(self)
 
-    def _append(self, record: dict) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
     def current(self) -> Optional[LeaderRecord]:
         """Replay the ledger; the highest-epoch claim wins."""
-        if not self.path.exists():
-            return None
         record: Optional[LeaderRecord] = None
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                op = rec["op"]
-                if op == "claim":
-                    record = LeaderRecord(
-                        epoch=int(rec["epoch"]),
-                        leader_id=rec["leader_id"],
-                        endpoint=rec["endpoint"],
-                        claimed_at=rec["claimed_at"],
-                        expires_at=rec["expires_at"],
-                    )
-                elif record is None or int(rec["epoch"]) != record.epoch:
-                    continue  # stale writer's renew/release: fenced out
-                elif op == "renew":
-                    record.expires_at = rec["expires_at"]
-                    record.renewals += 1
-                elif op == "release":
-                    record.released = rec["reason"]
+        for rec in self._log.records():
+            op = rec["op"]
+            if op == "claim":
+                record = LeaderRecord(
+                    epoch=int(rec["epoch"]),
+                    leader_id=rec["leader_id"],
+                    endpoint=rec["endpoint"],
+                    claimed_at=rec["claimed_at"],
+                    expires_at=rec["expires_at"],
+                )
+            elif record is None or int(rec["epoch"]) != record.epoch:
+                continue  # stale writer's renew/release: fenced out
+            elif op == "renew":
+                record.expires_at = rec["expires_at"]
+                record.renewals += 1
+            elif op == "release":
+                record.released = rec["reason"]
         return record
 
     def leader(self, now: Optional[float] = None) -> Optional[LeaderRecord]:
@@ -221,16 +203,15 @@ class ElectionLedger:
             if record is not None and record.live(now) and not force:
                 return None
             epoch = (0 if record is None else record.epoch) + 1
-            self._append(
-                {
-                    "op": "claim",
-                    "epoch": epoch,
-                    "leader_id": leader_id,
-                    "endpoint": endpoint,
-                    "claimed_at": now,
-                    "expires_at": now + self.ttl,
-                },
-            )
+            claim = {
+                "op": "claim",
+                "epoch": epoch,
+                "leader_id": leader_id,
+                "endpoint": endpoint,
+                "claimed_at": now,
+                "expires_at": now + self.ttl,
+            }
+            self._log.append([claim])
             return epoch
 
     def renew(self, epoch: int) -> bool:
@@ -239,13 +220,8 @@ class ElectionLedger:
             record = self.current()
             if record is None or record.epoch != epoch or record.released:
                 return False
-            self._append(
-                {
-                    "op": "renew",
-                    "epoch": epoch,
-                    "expires_at": self.clock() + self.ttl,
-                },
-            )
+            expires_at = self.clock() + self.ttl
+            self._log.append([{"op": "renew", "epoch": epoch, "expires_at": expires_at}])
             return True
 
     def release(self, epoch: int, reason: str) -> bool:
@@ -254,7 +230,7 @@ class ElectionLedger:
             record = self.current()
             if record is None or record.epoch != epoch or record.released:
                 return False
-            self._append({"op": "release", "epoch": epoch, "reason": reason})
+            self._log.append([{"op": "release", "epoch": epoch, "reason": reason}])
             return True
 
     def fenced(self, epoch: int, fn: Callable[[], None]) -> None:

@@ -10,9 +10,10 @@ run — the dfuntest failure mode of a harness that does not own its own
 clean-up.
 
 A **fault lease** closes that hole.  Starting a fault first appends an
-``acquire`` record to a small per-node JSONL file (flushed and fsynced,
-so it survives any crash that happens after the filter is live);
-reverting the fault appends the matching ``release``.  A lease that has
+``acquire`` record to a small per-node
+:class:`~repro.storage.durable_log.DurableLog` (fsynced, so it survives
+any crash that happens after the filter is live); reverting the fault
+appends the matching ``release``.  A lease that has
 an ``acquire`` but no ``release`` is *active*; any active lease found at
 a safe point (NodeManager startup, ``run_init``) was necessarily leaked
 by a crashed or watchdog-aborted run and is force-reverted by the
@@ -31,6 +32,10 @@ File format (``<root>/<node>.jsonl``, append-only between sweeps)::
     {"op": "acquire", "lease": {"lease_id": ..., "node": ..., ...}}
     {"op": "release", "lease_id": ..., "released_at": ...}
 
+A torn final ``acquire`` never installed its filter (the append comes
+first), so replay ignores it and the next append cuts it off; a corrupt
+complete record raises instead of hiding a leaked fault.
+
 A reconciliation sweep compacts the file: the leaked leases are returned
 to the caller and the file is atomically rewritten without them, so the
 lease file stays bounded by the number of concurrently active faults.
@@ -38,12 +43,12 @@ lease file stays bounded by the number of concurrently active faults.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs.metrics import get_registry
+from repro.storage.durable_log import DurableLog, fsync_dir
 
 __all__ = ["FaultLeaseStore", "make_lease", "iter_lease_files"]
 
@@ -99,52 +104,26 @@ class FaultLeaseStore:
         ).set(self._live[node], node=node)
 
     # ------------------------------------------------------------------
-    # Writing (both appends are the crash-safety points: flush + fsync)
+    # Writing (both appends are the crash-safety points: fsynced)
     # ------------------------------------------------------------------
-    def _append(self, node: str, record: Dict[str, Any]) -> None:
-        with open(self._path(node), "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def acquire(self, lease: Dict[str, Any]) -> None:
-        self._append(lease["node"], {"op": "acquire", "lease": lease})
+        record = {"op": "acquire", "lease": lease}
+        DurableLog(self._path(lease["node"])).append([record])
         self._track(lease["node"], +1)
 
     def release(self, node: str, lease_id: str, released_at: float) -> None:
-        self._append(
-            node,
-            {"op": "release", "lease_id": lease_id, "released_at": released_at},
+        DurableLog(self._path(node)).append(
+            [{"op": "release", "lease_id": lease_id, "released_at": released_at}],
         )
         self._track(node, -1)
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-    def _read(self, node: str) -> List[Dict[str, Any]]:
-        path = self._path(node)
-        if not path.exists():
-            return []
-        records = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except ValueError:
-                    # A crash mid-append leaves at most one truncated
-                    # trailing line; the acquire it belonged to never
-                    # installed its filter (append happens first), so
-                    # dropping it is safe.
-                    continue
-        return records
-
     def active(self, node: str) -> List[Dict[str, Any]]:
         """Leases with an ``acquire`` but no ``release``, in acquire order."""
         leases: Dict[str, Dict[str, Any]] = {}
-        for rec in self._read(node):
+        for rec in DurableLog(self._path(node)).records():
             if rec.get("op") == "acquire":
                 lease = rec.get("lease") or {}
                 if lease.get("lease_id"):
@@ -163,33 +142,20 @@ class FaultLeaseStore:
         """Pop every active lease of *node* and compact its file.
 
         Returns the leaked leases (empty after every orderly shutdown).
-        The compaction is atomic (write-to-temp + rename + dir fsync), so
-        a crash during the sweep either keeps the old file — the next
-        sweep reconciles again, idempotently — or the new, empty one.
+        The compaction is atomic (empty temp file + rename + dir fsync;
+        an empty file has no data to sync), so a crash during the sweep
+        either keeps the old file — the next sweep reconciles again,
+        idempotently — or the new, empty one.
         """
         leaked = self.active(node)
         path = self._path(node)
         if path.exists():
             tmp = path.with_suffix(".jsonl.tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.flush()
-                os.fsync(fh.fileno())
+            tmp.write_bytes(b"")
             os.replace(tmp, path)
-            self._fsync_dir()
+            fsync_dir(self.root)
         self._track(node, None)
         return leaked
-
-    def _fsync_dir(self) -> None:
-        try:
-            dir_fd = os.open(str(self.root), os.O_RDONLY)
-        except OSError:  # pragma: no cover - e.g. Windows
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(dir_fd)
 
 
 def iter_lease_files(directory) -> Iterator[Tuple[Path, str]]:

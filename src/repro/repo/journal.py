@@ -23,6 +23,10 @@ sources that never reached the catalogue are re-ingested.  Because the
 catalogue dedups by content digest, replay is idempotent — a killed
 ingest resumes with no duplicate and no missing ExpIDs.
 
+The file is a :class:`~repro.storage.durable_log.DurableLog`: a torn
+final entry is ignored and cut off by the next append, and a corrupt
+complete entry fails recovery loudly.
+
 Appends are batched: one ``append_many`` call is one write + flush +
 fsync regardless of batch size, which is where the write-behind queue's
 throughput over per-package commits comes from.
@@ -30,10 +34,10 @@ throughput over per-package commits comes from.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, List
+
+from repro.storage.durable_log import DurableLog
 
 __all__ = ["IngestJournal", "JOURNAL_FILE"]
 
@@ -46,6 +50,7 @@ class IngestJournal:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.path = self.root / JOURNAL_FILE
+        self._log = DurableLog(self.path)
         self._next_ticket = self._scan_next_ticket()
 
     # ------------------------------------------------------------------
@@ -68,15 +73,8 @@ class IngestJournal:
         must stay fsynced: they are what recovery replays from.
         """
         records = list(records)
-        if not records:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-            fh.flush()
-            if fsync:
-                os.fsync(fh.fileno())
+        if records:
+            self._log.append(records, fsync=fsync)
 
     def begin_record(self, ticket: int, source, key) -> Dict[str, Any]:
         return {
@@ -102,21 +100,8 @@ class IngestJournal:
     # Reading
     # ------------------------------------------------------------------
     def entries(self) -> List[Dict[str, Any]]:
-        """Every parseable journal entry, in file order.  A torn final
-        line (the crash wrote half a record) is ignored, not an error."""
-        if not self.path.exists():
-            return []
-        out: List[Dict[str, Any]] = []
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(json.loads(line))
-                except ValueError:
-                    continue
-        return out
+        """Every complete journal entry, in file order."""
+        return self._log.records()
 
     def incomplete(self) -> List[Dict[str, Any]]:
         """``ingest_begin`` entries whose ticket never completed."""

@@ -36,60 +36,27 @@ Layout::
 Everything is JSON-on-disk: human-inspectable, diff-able, and exactly what
 the conditioning stage consumes.
 
-Run streams (``events.jsonl`` / ``packets.jsonl``) are **CRC-framed**:
-each line is ``<json>\\t<crc32 as 8 hex digits>``.  ``json.dumps`` escapes
-control characters, so the tab delimiter can never occur inside the JSON
-text; unframed (legacy) lines still parse.  The frame is what lets salvage
-mode (DESIGN.md §11) tell an intact record from a truncated or bit-flipped
-one: readers either hard-fail on the first corrupt record (the default —
-corruption must never pass silently) or, with ``salvage=True``, quarantine
-the bad lines into the ``quarantine/`` sidecar and keep conditioning the
-intact rest.
+Every append-only file is **CRC-framed** (:mod:`repro.storage.durable_log`);
+the logs are :class:`~repro.storage.durable_log.DurableLog` files.  Run
+streams (``events.jsonl`` / ``packets.jsonl`` / ``traces.jsonl``) keep
+their own reader, because a truncated final run record is lost data, not
+an unfinished append: the frame is what lets salvage mode (DESIGN.md §11)
+tell an intact record from a truncated or bit-flipped one.  Readers either
+hard-fail on the first corrupt record (the default — corruption must never
+pass silently) or, with ``salvage=True``, quarantine the bad lines into the
+``quarantine/`` sidecar and keep conditioning the intact rest.
 """
 
 from __future__ import annotations
 
 import json
-import re
-import zlib
 from pathlib import Path
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple
 
 from repro.core.errors import StorageError
+from repro.storage.durable_log import DurableLog, _frame_line, _parse_record_line
 
 __all__ = ["Level2Store", "RunWriter"]
-
-_CRC_SUFFIX = re.compile(r"^[0-9a-f]{8}$")
-
-
-def _crc(text: str) -> str:
-    return f"{zlib.crc32(text.encode('utf-8')) & 0xFFFFFFFF:08x}"
-
-
-def _frame_line(json_text: str) -> str:
-    """Append the CRC32 frame to one serialized record."""
-    return f"{json_text}\t{_crc(json_text)}"
-
-
-def _parse_record_line(line: str) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
-    """Parse one run-stream line; returns ``(record, None)`` or
-    ``(None, reason)`` with reason in {crc_mismatch, truncated, bad_json}."""
-    if "\t" in line:
-        body, suffix = line.rsplit("\t", 1)
-        if _CRC_SUFFIX.match(suffix):
-            if _crc(body) != suffix:
-                return None, "crc_mismatch"
-            try:
-                return json.loads(body), None
-            except ValueError:
-                return None, "bad_json"
-        # A framed line whose frame itself was cut off mid-write: the
-        # tab is present but the suffix is not 8 hex digits.
-        return None, "truncated"
-    try:
-        return json.loads(line), None
-    except ValueError:
-        return None, "truncated"
 
 
 def _write_json(path: Path, data: Any) -> None:
@@ -101,34 +68,6 @@ def _write_json(path: Path, data: Any) -> None:
 def _read_json(path: Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
-
-
-def _append_jsonl(path: Path, records: List[Dict[str, Any]], framed: bool = False) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        for rec in records:
-            text = json.dumps(rec, sort_keys=True)
-            fh.write((_frame_line(text) if framed else text) + "\n")
-
-
-def _read_jsonl(path: Path, drop_corrupt_tail: bool = False) -> List[Dict[str, Any]]:
-    if not path.exists():
-        return []
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh]
-    lines = [line for line in lines if line]
-    for i, line in enumerate(lines):
-        try:
-            out.append(json.loads(line))
-        except ValueError:
-            # A crash mid-append can truncate at most the final line;
-            # journal readers drop it (the entry it belonged to was never
-            # acknowledged).  Corruption anywhere else is a real error.
-            if drop_corrupt_tail and i == len(lines) - 1:
-                break
-            raise StorageError(f"corrupt JSONL record in {path} (line {i + 1})")
-    return out
 
 
 class RunWriter:
@@ -288,13 +227,11 @@ class Level2Store:
         return self.root / "journal.jsonl"
 
     def append_journal(self, record: Dict[str, Any]) -> None:
-        _append_jsonl(self.journal_path, [record])
+        # Unsynced: a run whose run_complete a power cut lost is re-run.
+        DurableLog(self.journal_path).append([record], fsync=False)
 
     def read_journal(self) -> List[Dict[str, Any]]:
-        # A crash can truncate at most the journal's final append; the
-        # entry it belonged to was never acknowledged, so dropping it is
-        # exactly the resume semantics we want.
-        return _read_jsonl(self.journal_path, drop_corrupt_tail=True)
+        return DurableLog(self.journal_path).records()
 
     # ------------------------------------------------------------------
     # Master-side measurements
@@ -345,11 +282,12 @@ class Level2Store:
         return path.read_text(encoding="utf-8") if path.exists() else ""
 
     def write_node_experiment_events(self, node_id: str, events: List[Dict[str, Any]]) -> None:
-        _append_jsonl(self._node_dir(node_id) / "experiment_events.jsonl", events)
+        path = self._node_dir(node_id) / "experiment_events.jsonl"
+        DurableLog(path).append(events, fsync=False)
         self._invalidate_enumeration()
 
     def read_node_experiment_events(self, node_id: str) -> List[Dict[str, Any]]:
-        return _read_jsonl(self._node_dir(node_id) / "experiment_events.jsonl")
+        return DurableLog(self._node_dir(node_id) / "experiment_events.jsonl").records()
 
     def write_run_data(
         self,
@@ -359,8 +297,8 @@ class Level2Store:
         packets: List[Dict[str, Any]],
     ) -> None:
         run_dir = self._node_dir(node_id) / "runs" / str(run_id)
-        _append_jsonl(run_dir / "events.jsonl", events, framed=True)
-        _append_jsonl(run_dir / "packets.jsonl", packets, framed=True)
+        DurableLog(run_dir / "events.jsonl").append(events, fsync=False)
+        DurableLog(run_dir / "packets.jsonl").append(packets, fsync=False)
         self._invalidate_enumeration()
 
     def run_writer(self, run_id: int, flush_records: Optional[int] = None) -> RunWriter:
@@ -468,10 +406,10 @@ class Level2Store:
     def append_reconciled_leases(self, records: List[Dict[str, Any]]) -> None:
         """Persist leases a reconciliation sweep force-reverted."""
         if records:
-            _append_jsonl(self.fault_lease_log_path, records)
+            DurableLog(self.fault_lease_log_path).append(records, fsync=False)
 
     def read_reconciled_leases(self) -> List[Dict[str, Any]]:
-        return _read_jsonl(self.fault_lease_log_path, drop_corrupt_tail=True)
+        return DurableLog(self.fault_lease_log_path).records()
 
     # ------------------------------------------------------------------
     # Harness observability (spans outside any run; metrics snapshot)
@@ -483,10 +421,10 @@ class Level2Store:
     def append_experiment_traces(self, records: List[Dict[str, Any]]) -> None:
         """Experiment-scope spans (``experiment_init``, collection, ...)."""
         if records:
-            _append_jsonl(self.experiment_trace_path, records)
+            DurableLog(self.experiment_trace_path).append(records, fsync=False)
 
     def read_experiment_traces(self) -> List[Dict[str, Any]]:
-        return _read_jsonl(self.experiment_trace_path, drop_corrupt_tail=True)
+        return DurableLog(self.experiment_trace_path).records()
 
     @property
     def metrics_path(self) -> Path:

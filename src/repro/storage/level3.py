@@ -45,6 +45,7 @@ from repro.storage.conditioning import (
     condition_scope,
     iter_conditioned_runs,
 )
+from repro.storage.durable_log import fsync_dir
 from repro.storage.level2 import Level2Store
 
 __all__ = [
@@ -270,16 +271,7 @@ def fsync_database(path) -> None:
         os.fsync(fd)
     finally:
         os.close(fd)
-    try:
-        dir_fd = os.open(str(path.parent), os.O_RDONLY)
-    except OSError:  # platform without directory fds (e.g. Windows)
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
+    fsync_dir(path.parent)
 
 
 def read_stamped_digest(db_path) -> Optional[str]:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import zlib
+from pathlib import Path
+
 import pytest
 
 from repro.net.medium import WirelessMedium
@@ -9,6 +12,7 @@ from repro.net.node import NetNode
 from repro.net.topology import grid_topology, line_topology
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngRegistry
+from repro.storage.durable_log import DurableLog
 
 
 @pytest.fixture
@@ -50,3 +54,15 @@ def drive(sim, until=10.0):
     """Run a simulation for the given horizon (helper, not fixture)."""
     sim.run(until=until)
     return sim.now
+
+
+def read_crc_framed(path):
+    """A durable log's records through the shared reader, after checking
+    that every line is ``<json>\t<crc32 hex>`` with a matching CRC."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line in lines:
+        body, crc = line.rsplit("\t", 1)
+        assert crc == f"{zlib.crc32(body.encode('utf-8')):08x}", line
+    records = DurableLog(path).records()
+    assert len(records) == len(lines)
+    return records

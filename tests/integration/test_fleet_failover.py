@@ -41,6 +41,7 @@ from repro.fabric import (
 )
 from repro.fabric.election import ElectionLedger
 from repro.sd.processlib import build_two_party_description
+from tests.conftest import read_crc_framed
 
 
 def _desc(seed=31, replications=6):
@@ -234,9 +235,9 @@ def test_graceful_handoff_re_leases_zero_runs(local_reference, tmp_path):
     # no lease ever expired or was revoked across the transfer.
     assert [e for e in journal.entries() if e["type"] == "lease_expired"] == []
     closes = [
-        json.loads(line)
-        for line in (campaign_dir / "leases.jsonl").read_text().splitlines()
-        if json.loads(line).get("op") == "close"
+        rec
+        for rec in read_crc_framed(campaign_dir / "leases.jsonl")
+        if rec.get("op") == "close"
     ]
     assert {c["reason"] for c in closes} == {"complete"}
     completions = [

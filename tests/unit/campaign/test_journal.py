@@ -1,12 +1,11 @@
 """Unit tests for the write-ahead campaign journal."""
 
-import json
-
 import pytest
 
 from repro.campaign.journal import CampaignJournal
 from repro.core.errors import RecoveryError
 from repro.sd.processlib import build_two_party_description
+from tests.conftest import read_crc_framed
 
 
 def _desc(seed=7):
@@ -90,8 +89,7 @@ def test_append_tolerates_blank_lines(tmp_path):
     assert journal.finished()
 
 
-def test_entries_are_plain_jsonl(tmp_path):
+def test_entries_are_crc_framed(tmp_path):
     journal = CampaignJournal(tmp_path)
     _started(journal, _desc())
-    lines = journal.path.read_text(encoding="utf-8").splitlines()
-    assert all(json.loads(line)["type"] for line in lines if line)
+    assert [r["type"] for r in read_crc_framed(journal.path)] == ["campaign_start"]

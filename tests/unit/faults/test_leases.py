@@ -1,11 +1,10 @@
 """Unit tests for fault leases: the store, and the controller's use of it."""
 
-import json
-
 import pytest
 
 from repro.faults.controller import FaultController
 from repro.faults.leases import FaultLeaseStore, iter_lease_files, make_lease
+from tests.conftest import read_crc_framed
 
 
 # ----------------------------------------------------------------------
@@ -212,10 +211,9 @@ def test_controller_without_store_is_unchanged(pair_net, rngs):
     assert ctrl.stop(fid)
 
 
-def test_lease_file_is_valid_jsonl(leased):
+def test_lease_file_is_crc_framed(leased):
     _sim, ctrl, a, store = leased
     ctrl.start("msg_loss", {"probability": 0.5})
     ctrl.stop_all()
-    lines = (store.root / f"{a.name}.jsonl").read_text(encoding="utf-8").splitlines()
-    ops = [json.loads(line)["op"] for line in lines]
+    ops = [rec["op"] for rec in read_crc_framed(store.root / f"{a.name}.jsonl")]
     assert ops == ["acquire", "release"]

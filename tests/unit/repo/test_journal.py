@@ -1,9 +1,8 @@
 """The fsynced ingest journal: tickets, batching, crash tolerance."""
 
-import json
-
 from repro.repo.journal import IngestJournal
 from repro.repo.fingerprint import ExperimentKey
+from tests.conftest import read_crc_framed
 
 
 def _key(digest="d1"):
@@ -67,11 +66,10 @@ def test_empty_journal(tmp_path):
     assert not journal.path.exists()
 
 
-def test_records_are_plain_json(tmp_path):
+def test_records_are_crc_framed(tmp_path):
     journal = IngestJournal(tmp_path)
     t = journal.next_ticket()
     journal.append_many([journal.begin_record(t, "x.db", _key("dx"))])
-    line = journal.path.read_text(encoding="utf-8").strip()
-    record = json.loads(line)
+    (record,) = read_crc_framed(journal.path)
     assert record["digest"] == "dx"
     assert record["source"] == "x.db"

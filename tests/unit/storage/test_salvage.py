@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.errors import StorageError
 from repro.storage.conditioning import condition_experiment
-from repro.storage.level2 import Level2Store, _crc, _frame_line
+from repro.storage.durable_log import _crc, _frame_line
+from repro.storage.level2 import Level2Store
 from repro.storage.level3 import ExperimentDatabase, store_level3
 
 DESC_XML = """<experiment name="salv" seed="1" comment="c">

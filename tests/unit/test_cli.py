@@ -153,3 +153,18 @@ def test_paper_xml_command(capsys):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_inspect_leases_fails_loudly_on_a_corrupt_reconciled_lease(tmp_path, capsys):
+    from repro.storage.level2 import Level2Store
+
+    store = Level2Store(tmp_path / "exp.l2")
+    store.append_reconciled_leases(
+        [{"lease_id": f"h1/0/{i}", "kind": "msg_loss", "run_id": 0} for i in range(2)]
+    )
+    assert main(["inspect", str(store.root), "--leases"]) == 0
+    assert "reconciled leases: 2" in capsys.readouterr().out
+    path = store.fault_lease_log_path
+    path.write_bytes(path.read_bytes().replace(b"h1/0/0", b"h1/0/9"))
+    assert main(["inspect", str(store.root), "--leases"]) == 2
+    assert f"{path} (line 1: crc_mismatch)" in capsys.readouterr().err
