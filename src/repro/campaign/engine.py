@@ -28,10 +28,14 @@ tree and one level-3 shard database — no SQLite contention, no locks.
 
 Crash recovery
 --------------
-The parent process is the only journal writer.  A run is journaled
-``run_complete`` only after its shard transaction committed; a crash
-anywhere (worker or parent) therefore loses at most in-flight work, which
-``--resume`` re-executes to byte-identical results.
+The parent process is the only journal writer; it settles every run
+through the :class:`~repro.campaign.session.CampaignSession` the fabric
+coordinator drives too.  A run is journaled ``run_complete`` only after
+its shard transaction committed; a crash anywhere (worker or parent)
+therefore loses at most in-flight work, which ``--resume`` re-executes to
+byte-identical results.  A worker process that dies breaks a process
+pool for good: the next submit swaps in a fresh pool, and the runs in
+flight on the dead one fail through their futures as ordinary attempts.
 """
 
 from __future__ import annotations
@@ -39,27 +43,18 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import os
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.campaign.journal import CampaignJournal
-from repro.campaign.merge import apply_abort_reasons, merge_shards
-from repro.campaign.scheduler import CampaignScheduler
-from repro.campaign.telemetry import CampaignTelemetry
+from repro.campaign.session import CampaignResult, CampaignSession
 from repro.core.description import ExperimentDescription
-from repro.core.errors import CampaignError, RecoveryError, extract_node_id
-from repro.faults.control import select_control_faults
-from repro.core.params import SpecialParams
-from repro.core.plan import TreatmentPlan, generate_plan
+from repro.core.errors import CampaignError
 from repro.core.xmlio import description_to_xml
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Tracer
 from repro.storage.durable_log import DurableLog
-from repro.storage.level2 import Level2Store
 
-__all__ = ["CampaignEngine", "CampaignResult", "run_campaign", "merge_campaign"]
+__all__ = ["CampaignEngine", "run_campaign"]
 
 
 # ----------------------------------------------------------------------
@@ -76,45 +71,6 @@ def _execute_ticket(spec: Dict[str, Any]) -> Dict[str, Any]:
     from repro.core.master import execute_spec_run
 
     return execute_spec_run(spec)
-
-
-# ----------------------------------------------------------------------
-# Results
-# ----------------------------------------------------------------------
-@dataclass
-class CampaignResult:
-    """What :meth:`CampaignEngine.execute` returns."""
-
-    description: ExperimentDescription
-    plan: TreatmentPlan
-    campaign_dir: Path
-    executed_runs: List[int] = field(default_factory=list)
-    skipped_runs: List[int] = field(default_factory=list)
-    failed_runs: Dict[int, str] = field(default_factory=dict)
-    timed_out_runs: List[int] = field(default_factory=list)
-    #: Wall-clock duration of this session, seconds.
-    duration: float = 0.0
-    jobs: int = 1
-    pool: str = "thread"
-    db_path: Optional[Path] = None
-    telemetry: Optional[Dict[str, Any]] = None
-
-    @property
-    def total_runs(self) -> int:
-        return len(self.plan)
-
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "experiment": self.description.name,
-            "total_runs": self.total_runs,
-            "executed": len(self.executed_runs),
-            "skipped": len(self.skipped_runs),
-            "failed": len(self.failed_runs),
-            "timed_out": len(self.timed_out_runs),
-            "duration": self.duration,
-            "jobs": self.jobs,
-            "pool": self.pool,
-        }
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +157,6 @@ class CampaignEngine:
         self.control_faults = list(control_faults or [])
         self.quarantine_after = quarantine_after
         self.salvage_requeue_loss = salvage_requeue_loss
-        self.journal = CampaignJournal(self.campaign_dir)
 
     @staticmethod
     def _resolve_pool(pool: str, realtime_factor: Optional[float]) -> str:
@@ -216,42 +171,19 @@ class CampaignEngine:
     # ------------------------------------------------------------------
     def execute(self, db_path=None) -> CampaignResult:
         """Run the campaign; optionally merge into *db_path* at the end."""
-        started = time.monotonic()
-        desc = self.description
-        plan = generate_plan(
-            desc.factors,
-            desc.seed,
-            custom_treatments=self.custom_treatments,
-        )
-        plan_fp = plan.fingerprint()
-
-        if self.resume:
-            staged = self.journal.prepare_resume(desc, len(plan), plan_fp)
-            staged = self._filter_salvage_requeue(staged)
-        else:
-            if self.journal.started():
-                raise RecoveryError(
-                    "campaign directory already holds a journal; pass "
-                    "resume=True or use a fresh directory",
-                )
-            staged = {}
-        session = self.journal.record_start(
-            desc.fingerprint(),
-            desc.seed,
-            len(plan),
-            plan_fp,
-        )
-
-        scheduler = CampaignScheduler(
-            plan,
-            completed=staged,
+        session = CampaignSession(
+            self.description,
+            self.campaign_dir,
             jobs=self.jobs,
-            max_parallel=SpecialParams(desc.special_params).get("max_parallel"),
             max_attempts=self.max_attempts,
+            resume=self.resume,
+            custom_treatments=self.custom_treatments,
+            control_faults=self.control_faults,
             quarantine_after=self.quarantine_after,
+            progress=self.progress,
+            salvage_requeue_loss=self.salvage_requeue_loss,
         )
-        telemetry = CampaignTelemetry(total_runs=len(plan), emit=self.progress)
-        telemetry.campaign_started(skipped=len(staged))
+        scheduler = session.scheduler
 
         # Engine-scope tracer: dispatch spans and worker-boundary error
         # spans (with full tracebacks) land in <campaign_dir>/traces.jsonl.
@@ -260,17 +192,7 @@ class CampaignEngine:
         tracer = Tracer(node="engine")
         campaign_wall_start = tracer.clock() if tracer.enabled else 0.0
         dispatch_started: Dict[int, float] = {}
-
-        result = CampaignResult(
-            description=desc,
-            plan=plan,
-            campaign_dir=self.campaign_dir,
-            skipped_runs=sorted(staged),
-            jobs=scheduler.effective_jobs,
-            pool=self.pool,
-        )
-        sources: Dict[int, Dict[str, Any]] = dict(staged)
-        description_xml = description_to_xml(desc)
+        description_xml = description_to_xml(self.description)
 
         executor_cls = (
             concurrent.futures.ProcessPoolExecutor
@@ -278,164 +200,119 @@ class CampaignEngine:
             else concurrent.futures.ThreadPoolExecutor
         )
         jobs = scheduler.effective_jobs
+        executor = executor_cls(max_workers=jobs)
+        futures: Dict[concurrent.futures.Future, Any] = {}
+        free_slots = list(range(jobs - 1, -1, -1))  # pop() -> slot 0 first
         completions = 0
+
+        def submit(spec: Dict[str, Any]) -> concurrent.futures.Future:
+            nonlocal executor
+            try:
+                return executor.submit(_execute_ticket, spec)
+            except concurrent.futures.BrokenExecutor:
+                # A pool worker died (e.g. killed by the OOM killer): the
+                # runs in flight on that pool fail through their futures
+                # like any failed attempt; new work gets a fresh pool.
+                executor.shutdown(wait=False)
+                executor = executor_cls(max_workers=jobs)
+                return executor.submit(_execute_ticket, spec)
+
+        def dispatch() -> None:
+            while free_slots:
+                ticket = scheduler.next_ticket()
+                if ticket is None:
+                    return
+                slot = free_slots.pop()
+                label = f"s{session.index}w{slot:02d}"
+                control_faults = session.start_run(ticket, label)
+                if tracer.enabled:
+                    dispatch_started[ticket.run_id] = tracer.clock()
+                spec = {
+                    "campaign_dir": str(self.campaign_dir),
+                    "description_xml": description_xml,
+                    "custom_treatments": self.custom_treatments,
+                    "config": self.config,
+                    "realtime_factor": self.realtime_factor,
+                    "run_id": ticket.run_id,
+                    "store": f"staging/{label}/run_{ticket.run_id:06d}",
+                    "shard": f"shards/{label}.db",
+                    "lease_root": f"leases/run_{ticket.run_id:06d}",
+                    "control_faults": control_faults,
+                }
+                futures[submit(spec)] = (ticket, slot, label)
+
         try:
-            with executor_cls(max_workers=jobs) as executor:
-                futures: Dict[concurrent.futures.Future, Any] = {}
-                free_slots = list(range(jobs - 1, -1, -1))  # pop() -> slot 0 first
-
-                def dispatch() -> None:
-                    while free_slots:
-                        ticket = scheduler.next_ticket()
-                        if ticket is None:
-                            return
-                        slot = free_slots.pop()
-                        label = f"s{session}w{slot:02d}"
-                        spec = {
-                            "campaign_dir": str(self.campaign_dir),
-                            "description_xml": description_xml,
-                            "custom_treatments": self.custom_treatments,
-                            "config": self.config,
-                            "realtime_factor": self.realtime_factor,
-                            "run_id": ticket.run_id,
-                            "store": f"staging/{label}/run_{ticket.run_id:06d}",
-                            "shard": f"shards/{label}.db",
-                            "lease_root": f"leases/run_{ticket.run_id:06d}",
-                            # Chaos entries surviving the attempt/session
-                            # filter: a retry past an entry's max_attempt
-                            # (or a resume past its sessions) runs clean.
-                            "control_faults": select_control_faults(
-                                self.control_faults,
-                                attempt=ticket.attempts,
-                                session=session,
-                            ),
-                        }
-                        self.journal.record_run_start(ticket.run_id, label)
-                        telemetry.run_started(ticket.run_id, label)
-                        if tracer.enabled:
-                            dispatch_started[ticket.run_id] = tracer.clock()
-                        future = executor.submit(_execute_ticket, spec)
-                        futures[future] = (ticket, slot, label)
-
-                dispatch()
-                while futures:
-                    done, _pending = concurrent.futures.wait(
-                        futures,
-                        return_when=concurrent.futures.FIRST_COMPLETED,
+            dispatch()
+            while futures:
+                done, _pending = concurrent.futures.wait(
+                    futures,
+                    return_when=concurrent.futures.FIRST_COMPLETED,
+                )
+                for future in done:
+                    ticket, slot, label = futures.pop(future)
+                    free_slots.append(slot)
+                    try:
+                        res = future.result()
+                    except Exception as exc:  # noqa: BLE001 - worker boundary
+                        requeued = session.fail(
+                            ticket.run_id,
+                            label,
+                            f"{type(exc).__name__}: {exc}",
+                        )
+                        # The one-line error string is all the journal
+                        # keeps; the error span preserves the traceback.
+                        dispatch_started.pop(ticket.run_id, None)
+                        tracer.record_error(
+                            "campaign_worker",
+                            exc,
+                            run_id=ticket.run_id,
+                            worker=label,
+                            attempt=ticket.attempts,
+                            requeued=requeued,
+                            site="campaign_worker",
+                        )
+                        get_registry().counter(
+                            "repro_campaign_worker_errors_total",
+                            "Exceptions crossing the campaign worker boundary",
+                        ).inc()
+                        continue
+                    session.complete(
+                        ticket.run_id,
+                        label,
+                        res["shard"],
+                        store=res["store"],
+                        outcome=res,
                     )
-                    for future in done:
-                        ticket, slot, label = futures.pop(future)
-                        free_slots.append(slot)
-                        try:
-                            res = future.result()
-                        except Exception as exc:  # noqa: BLE001 - worker boundary
-                            error = f"{type(exc).__name__}: {exc}"
-                            node_id = extract_node_id(error)
-                            terminal = (
-                                node_id is not None
-                                and node_id in scheduler.quarantined_nodes
-                            )
-                            requeued = scheduler.mark_failed(
-                                ticket.run_id,
-                                error,
-                                terminal=terminal,
-                            )
-                            # The one-line `error` string is all the journal
-                            # keeps; the error span preserves the traceback.
-                            dispatch_started.pop(ticket.run_id, None)
-                            tracer.record_error(
-                                "campaign_worker",
-                                exc,
+                    # Fold a forked worker's metric delta into this
+                    # process; a thread worker already wrote here.
+                    if res.get("metrics") and res["pid"] != os.getpid():
+                        get_registry().merge(res["metrics"])
+                    if tracer.enabled:
+                        t0 = dispatch_started.pop(ticket.run_id, None)
+                        if t0 is not None:
+                            tracer.record(
+                                "campaign_run",
+                                t0,
+                                tracer.clock(),
                                 run_id=ticket.run_id,
                                 worker=label,
+                                slot=slot,
                                 attempt=ticket.attempts,
-                                requeued=requeued,
-                                site="campaign_worker",
+                                timed_out=res["timed_out"],
                             )
-                            get_registry().counter(
-                                "repro_campaign_worker_errors_total",
-                                "Exceptions crossing the campaign worker "
-                                "boundary",
-                            ).inc()
-                            self.journal.record_run_failed(
-                                ticket.run_id,
-                                error,
-                                ticket.attempts,
-                            )
-                            telemetry.run_failed(
-                                ticket.run_id,
-                                label,
-                                error,
-                                requeued,
-                            )
-                            if node_id is not None and scheduler.record_node_failure(
-                                node_id,
-                            ):
-                                self.journal.record_node_quarantined(
-                                    node_id,
-                                    scheduler.node_failures[node_id],
-                                )
-                                telemetry.node_quarantined(
-                                    node_id,
-                                    scheduler.node_failures[node_id],
-                                )
-                        else:
-                            scheduler.mark_done(ticket.run_id)
-                            self.journal.record_run_complete(
-                                ticket.run_id,
-                                label,
-                                res["store"],
-                                res["shard"],
-                            )
-                            telemetry.run_completed(
-                                ticket.run_id,
-                                label,
-                                res["duration"],
-                            )
-                            telemetry.rpc_stats(
-                                res.get("rpc_retries", 0),
-                                res.get("rpc_timeouts", 0),
-                            )
-                            telemetry.run_phases(res.get("phases") or {})
-                            # Fold a forked worker's metric delta into this
-                            # process; a thread worker already wrote here.
-                            if res.get("metrics") and res["pid"] != os.getpid():
-                                get_registry().merge(res["metrics"])
-                            if tracer.enabled:
-                                t0 = dispatch_started.pop(ticket.run_id, None)
-                                if t0 is not None:
-                                    tracer.record(
-                                        "campaign_run",
-                                        t0,
-                                        tracer.clock(),
-                                        run_id=ticket.run_id,
-                                        worker=label,
-                                        slot=slot,
-                                        attempt=ticket.attempts,
-                                        timed_out=res["timed_out"],
-                                    )
-                            sources[ticket.run_id] = res
-                            result.executed_runs.append(ticket.run_id)
-                            if res["timed_out"]:
-                                result.timed_out_runs.append(ticket.run_id)
-                            completions += 1
-                            if (
-                                self.abort_after_runs is not None
-                                and completions >= self.abort_after_runs
-                                and not scheduler.finished
-                            ):
-                                raise CampaignError(
-                                    f"aborting after {completions} runs "
-                                    "(abort_after_runs)",
-                                )
-                    free_slots.sort(reverse=True)
-                    dispatch()
+                    completions += 1
+                    if (
+                        self.abort_after_runs is not None
+                        and completions >= self.abort_after_runs
+                        and not scheduler.finished
+                    ):
+                        raise CampaignError(
+                            f"aborting after {completions} runs (abort_after_runs)",
+                        )
+                free_slots.sort(reverse=True)
+                dispatch()
         finally:
-            result.executed_runs.sort()
-            result.timed_out_runs.sort()
-            result.failed_runs = dict(scheduler.failed)
-            result.duration = time.monotonic() - started
-            result.telemetry = telemetry.summary()
+            executor.shutdown(wait=True)
             if tracer.enabled:
                 tracer.record(
                     "campaign",
@@ -443,24 +320,14 @@ class CampaignEngine:
                     tracer.clock(),
                     jobs=jobs,
                     pool=self.pool,
-                    completed=len(result.executed_runs),
-                    failed=len(result.failed_runs),
+                    completed=len(scheduler.done),
+                    failed=len(scheduler.failed),
                 )
             self._write_observability(tracer)
 
-        if result.failed_runs:
-            failed = ", ".join(str(r) for r in sorted(result.failed_runs))
-            raise CampaignError(
-                f"{len(result.failed_runs)} run(s) failed after "
-                f"{self.max_attempts} attempt(s): {failed}; fix the cause and "
-                "resume the campaign",
-            )
-        self.journal.record_complete()
-
+        result = session.seal(jobs=jobs, pool=self.pool)
         if db_path is not None:
-            telemetry.merge_started(len(sources))
-            result.db_path = self._merge(sources, db_path)
-            result.duration = time.monotonic() - started
+            session.merge(result, db_path)
         return result
 
     # ------------------------------------------------------------------
@@ -485,111 +352,7 @@ class CampaignEngine:
         except OSError:  # pragma: no cover - diagnostics only
             pass
 
-    # ------------------------------------------------------------------
-    def _filter_salvage_requeue(
-        self,
-        staged: Dict[int, Dict[str, Any]],
-    ) -> Dict[int, Dict[str, Any]]:
-        """Drop journaled runs whose staged data lost too much to salvage.
 
-        A dropped run goes back through the scheduler exactly like a run
-        that never completed; re-execution is deterministic, so the
-        re-staged copy is byte-identical to what the lost records would
-        have conditioned into.
-        """
-        threshold = self.salvage_requeue_loss
-        if threshold is None:
-            return staged
-        kept_map: Dict[int, Dict[str, Any]] = {}
-        for run_id, entry in sorted(staged.items()):
-            probe = Level2Store(self.campaign_dir / entry["store"]).salvage_probe(
-                run_id,
-            )
-            total = probe["kept"] + probe["dropped"]
-            if probe["dropped"] and total and probe["dropped"] / total > threshold:
-                self.journal.record_run_salvage_requeued(
-                    run_id,
-                    probe["kept"],
-                    probe["dropped"],
-                )
-            else:
-                kept_map[run_id] = entry
-        return kept_map
-
-    def _merge(self, sources: Dict[int, Dict[str, Any]], db_path) -> Path:
-        if not sources:
-            raise CampaignError("no staged runs to merge")
-        run_sources = {
-            run_id: self.campaign_dir / entry["shard"]
-            for run_id, entry in sources.items()
-        }
-        merged = merge_shards(
-            db_path,
-            _resolve_scope(self.campaign_dir, sources),
-            run_sources,
-        )
-        _annotate_abort_reasons(self.journal, merged, sources)
-        return merged
-
-
-# ----------------------------------------------------------------------
-# Conveniences
-# ----------------------------------------------------------------------
 def run_campaign(description, campaign_dir, db_path=None, **kwargs) -> CampaignResult:
     """One-call convenience: build the engine, execute, merge."""
     return CampaignEngine(description, campaign_dir, **kwargs).execute(db_path=db_path)
-
-
-def merge_campaign(campaign_dir, db_path) -> Path:
-    """Merge an already fully staged campaign into *db_path*.
-
-    Useful when the campaign itself completed (journal says
-    ``campaign_complete``) but the merge never ran or its output was
-    deleted — merging is repeatable at any time from the shards alone.
-    """
-    campaign_dir = Path(campaign_dir)
-    journal = CampaignJournal(campaign_dir)
-    if not journal.finished():
-        raise CampaignError(
-            "campaign is not complete; execute (or resume) it before merging",
-        )
-    sources = journal.completed()
-    if not sources:
-        raise CampaignError("journal holds no completed runs")
-    run_sources = {run_id: campaign_dir / entry["shard"] for run_id, entry in sources.items()}
-    merged = merge_shards(db_path, _resolve_scope(campaign_dir, sources), run_sources)
-    _annotate_abort_reasons(journal, merged, sources)
-    return merged
-
-
-def _resolve_scope(campaign_dir: Path, sources: Dict[int, Dict[str, Any]]):
-    """Locate the experiment-scope payload for a merge.
-
-    The scope run is the plan's first (minimum run id) — the one run
-    every campaign has.  A local entry points at its staging store; a
-    fleet entry (``store: null``) means the scope was shipped from the
-    worker that executed the scope run and persisted as ``scope.json``
-    at the campaign root.  Both forms condition to identical scope rows,
-    so local and fleet campaigns merge byte-identically.
-    """
-    from repro.campaign.merge import SCOPE_NAME, load_scope_payload
-
-    entry = sources[min(sources)]
-    if entry.get("store") is not None:
-        return Level2Store(Path(campaign_dir) / entry["store"])
-    return load_scope_payload(Path(campaign_dir) / SCOPE_NAME)
-
-
-def _annotate_abort_reasons(journal: CampaignJournal, db_path, sources) -> None:
-    """Write earlier attempts' failures into the merged RunInfos rows.
-
-    Only runs that *did* complete are annotated — a run present in the
-    database with a non-NULL ``AbortReason`` is a retry survivor, not a
-    missing run.
-    """
-    reasons = {
-        run_id: entry["error"]
-        for run_id, entry in journal.failure_reasons().items()
-        if run_id in sources
-    }
-    apply_abort_reasons(db_path, reasons)

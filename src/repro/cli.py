@@ -20,6 +20,15 @@ workflows:
     Execute the plan's runs concurrently across a worker pool and merge
     the per-worker shards into one level-3 database; ``--resume``
     continues an aborted campaign from its journal.
+``repro fabric serve <description.xml> --bind HOST:PORT``
+    Serve the same campaign to a fleet of ``repro fabric worker``
+    processes (``fabric status`` and ``fabric handoff`` query and move
+    the leadership).  Both commands drive one campaign session
+    (:mod:`repro.campaign.session`) and take one option group — the
+    description, ``--dir``, ``--db``, ``--resume``, ``--max-retries``,
+    ``--chaos-json`` and the platform options; ``repro run`` takes the
+    platform options (``--protocol``, ``--topology``, ``--realtime``,
+    ``--rpc-timeout``, ``--run-deadline``, ``--quiet``) too.
 ``repro condition <level2-dir> <experiment.db> [--salvage]``
     Condition an existing level-2 store into a level-3 package.  With
     ``--salvage``, corrupt run records are quarantined instead of
@@ -64,31 +73,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also write the level-3 SQLite package here")
     p_run.add_argument("--resume", action="store_true",
                        help="resume an aborted execution in --store")
-    p_run.add_argument("--protocol", choices=("mdns", "slp", "hybrid", "registry"),
-                       default="mdns", help="SD protocol agents (default mdns)")
-    p_run.add_argument("--topology", default="mesh",
-                       choices=("mesh", "grid", "line", "full"),
-                       help="emulated mesh shape (default mesh)")
-    p_run.add_argument("--realtime", type=float, default=None, metavar="FACTOR",
-                       help="pace against the wall clock at this speed factor")
-    p_run.add_argument("--rpc-timeout", type=float, default=None, metavar="SECS",
-                       help="per-call control-channel deadline (overrides the "
-                            "description's rpc_timeout; 0 disables)")
-    p_run.add_argument("--run-deadline", type=float, default=None, metavar="SECS",
-                       help="watchdog budget applied to each run phase "
-                            "(preparation, execution, clean-up); 0 disables")
-    p_run.add_argument("--quiet", action="store_true")
+    _platform_options(p_run)
 
     p_camp = sub.add_parser(
         "campaign", help="execute an experiment's runs in parallel"
     )
-    p_camp.add_argument("description", type=Path, help="experiment XML file")
-    p_camp.add_argument("--dir", type=Path, default=None, dest="campaign_dir",
-                        help="campaign directory: journal, staging stores and "
-                             "shards (default: ./<name>.campaign)")
-    p_camp.add_argument("--db", type=Path, default=None,
-                        help="merged level-3 SQLite database "
-                             "(default: <campaign dir>/<name>.db)")
+    _campaign_options(p_camp)
     p_camp.add_argument("--jobs", "-j", type=int, default=2,
                         help="worker count; capped by the description's "
                              "max_parallel special parameter (default 2)")
@@ -96,26 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                         default="auto",
                         help="worker pool kind (auto: processes for pure DES "
                              "on multi-core hosts, threads otherwise)")
-    p_camp.add_argument("--resume", action="store_true",
-                        help="resume an aborted campaign found in --dir")
     p_camp.add_argument("--merge-only", action="store_true",
                         help="only merge an already completed campaign's "
                              "shards into --db")
-    p_camp.add_argument("--max-retries", "--retries", type=int, default=1,
-                        dest="max_retries", metavar="N",
-                        help="extra attempts per failed run (default 1); a run "
-                             "failing on a dead node is re-queued this often "
-                             "before the campaign reports it failed")
-    p_camp.add_argument("--rpc-timeout", type=float, default=None, metavar="SECS",
-                        help="per-call control-channel deadline (overrides the "
-                             "description's rpc_timeout; 0 disables)")
-    p_camp.add_argument("--run-deadline", type=float, default=None, metavar="SECS",
-                        help="watchdog budget applied to each run phase; "
-                             "0 disables")
-    p_camp.add_argument("--chaos-json", type=Path, default=None, metavar="FILE",
-                        help="JSON list of control-plane fault entries to "
-                             "inject (see repro.faults.control) — CI gauntlet "
-                             "and resilience testing")
     p_camp.add_argument("--abort-after", type=int, default=None, metavar="N",
                         help="simulate a campaign crash after N completed runs "
                              "(testing --resume)")
@@ -125,26 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "level-2 data and re-execute runs whose dropped-"
                              "record fraction exceeds FRACTION (0 re-queues on "
                              "any loss)")
-    p_camp.add_argument("--protocol", choices=("mdns", "slp", "hybrid", "registry"),
-                        default="mdns", help="SD protocol agents (default mdns)")
-    p_camp.add_argument("--topology", default="mesh",
-                        choices=("mesh", "grid", "line", "full"),
-                        help="emulated mesh shape (default mesh)")
-    p_camp.add_argument("--realtime", type=float, default=None, metavar="FACTOR",
-                        help="pace runs against the wall clock at this speed "
-                             "factor")
-    p_camp.add_argument("--fleet", default=None, metavar="HOST:PORT",
-                        help="serve this campaign to a worker fleet bound at "
-                             "HOST:PORT instead of executing in a local pool "
-                             "(shorthand for `repro fabric serve --bind ...`)")
-    p_camp.add_argument("--lease-ttl", type=float, default=30.0, metavar="SECS",
-                        dest="lease_ttl",
-                        help="with --fleet: seconds a leased batch stays owned "
-                             "without renewal (default 30)")
-    p_camp.add_argument("--batch-size", type=int, default=4, metavar="N",
-                        dest="batch_size",
-                        help="with --fleet: maximum runs per lease (default 4)")
-    p_camp.add_argument("--quiet", action="store_true")
 
     p_fab = sub.add_parser(
         "fabric",
@@ -156,46 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     f_serve = fab_sub.add_parser(
         "serve", help="coordinate a campaign for a fleet of workers"
     )
-    f_serve.add_argument("description", type=Path, help="experiment XML file")
+    _campaign_options(f_serve)
     f_serve.add_argument("--bind", default="127.0.0.1:0", metavar="HOST:PORT",
                          help="listen address (port 0 picks an ephemeral "
                               "port, printed at startup; default 127.0.0.1:0)")
-    f_serve.add_argument("--dir", type=Path, default=None, dest="campaign_dir",
-                         help="campaign directory (default ./<name>.campaign)")
-    f_serve.add_argument("--db", type=Path, default=None,
-                         help="merged level-3 SQLite database "
-                              "(default: <campaign dir>/<name>.db)")
-    f_serve.add_argument("--resume", action="store_true",
-                         help="resume an aborted fleet campaign from its "
-                              "journal (workers re-register automatically)")
     f_serve.add_argument("--batch-size", type=int, default=4, metavar="N",
                          help="maximum runs per lease (default 4)")
     f_serve.add_argument("--lease-ttl", type=float, default=30.0,
                          metavar="SECS", dest="lease_ttl",
                          help="seconds a leased batch stays owned without a "
                               "renewal before it is re-leased (default 30)")
-    f_serve.add_argument("--max-retries", "--retries", type=int, default=1,
-                         dest="max_retries", metavar="N",
-                         help="extra attempts per failed run (default 1)")
-    f_serve.add_argument("--chaos-json", type=Path, default=None,
-                         metavar="FILE",
-                         help="JSON list of control-plane fault entries")
-    f_serve.add_argument("--protocol", choices=("mdns", "slp", "hybrid", "registry"),
-                         default="mdns",
-                         help="SD protocol agents (default mdns)")
-    f_serve.add_argument("--topology", default="mesh",
-                         choices=("mesh", "grid", "line", "full"),
-                         help="emulated mesh shape (default mesh)")
-    f_serve.add_argument("--realtime", type=float, default=None,
-                         metavar="FACTOR",
-                         help="pace runs against the wall clock at this "
-                              "speed factor")
-    f_serve.add_argument("--rpc-timeout", type=float, default=None,
-                         metavar="SECS",
-                         help="per-call control-channel deadline")
-    f_serve.add_argument("--run-deadline", type=float, default=None,
-                         metavar="SECS",
-                         help="watchdog budget applied to each run phase")
     f_serve.add_argument("--timeout", type=float, default=None, metavar="SECS",
                          help="abort if the campaign is not complete within "
                               "this wall-clock budget")
@@ -216,7 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="seconds the leadership lease stays held "
                               "without a renewal — the failover detection "
                               "horizon for standbys (default 10)")
-    f_serve.add_argument("--quiet", action="store_true")
 
     f_worker = fab_sub.add_parser(
         "worker", help="execute leased runs for a serving coordinator"
@@ -428,6 +350,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _platform_options(parser: argparse.ArgumentParser) -> None:
+    """How runs execute: shared by ``run``, ``campaign`` and ``fabric serve``."""
+    parser.add_argument("--protocol", choices=("mdns", "slp", "hybrid", "registry"),
+                        default="mdns", help="SD protocol agents (default mdns)")
+    parser.add_argument("--topology", default="mesh",
+                        choices=("mesh", "grid", "line", "full"),
+                        help="emulated mesh shape (default mesh)")
+    parser.add_argument("--realtime", type=float, default=None, metavar="FACTOR",
+                        help="pace runs against the wall clock at this speed "
+                             "factor")
+    parser.add_argument("--rpc-timeout", type=float, default=None, metavar="SECS",
+                        help="per-call control-channel deadline (overrides the "
+                             "description's rpc_timeout; 0 disables)")
+    parser.add_argument("--run-deadline", type=float, default=None, metavar="SECS",
+                        help="watchdog budget applied to each run phase "
+                             "(preparation, execution, clean-up); 0 disables")
+    parser.add_argument("--quiet", action="store_true")
+
+
+def _campaign_options(parser: argparse.ArgumentParser) -> None:
+    """One campaign's options: shared by ``campaign`` and ``fabric serve``."""
+    parser.add_argument("description", type=Path, help="experiment XML file")
+    parser.add_argument("--dir", type=Path, default=None, dest="campaign_dir",
+                        help="campaign directory: journal, staging stores and "
+                             "shards (default: ./<name>.campaign)")
+    parser.add_argument("--db", type=Path, default=None,
+                        help="merged level-3 SQLite database "
+                             "(default: <campaign dir>/<name>.db)")
+    parser.add_argument("--resume", action="store_true",
+                        help="resume an aborted campaign found in --dir")
+    parser.add_argument("--max-retries", "--retries", type=int, default=1,
+                        dest="max_retries", metavar="N",
+                        help="extra attempts per failed run (default 1); a run "
+                             "failing on a dead node is re-queued this often "
+                             "before the campaign reports it failed")
+    parser.add_argument("--chaos-json", type=Path, default=None, metavar="FILE",
+                        help="JSON list of control-plane fault entries to "
+                             "inject (see repro.faults.control) — CI gauntlet "
+                             "and resilience testing")
+    _platform_options(parser)
+
+
 # ----------------------------------------------------------------------
 # Command implementations
 # ----------------------------------------------------------------------
@@ -445,27 +409,78 @@ def _apply_resilience_flags(desc, args) -> None:
     keeps resumed runs byte-identical to uninterrupted ones.
     """
     overrides = {}
-    if getattr(args, "rpc_timeout", None) is not None:
+    if args.rpc_timeout is not None:
         overrides["rpc_timeout"] = args.rpc_timeout
-    if getattr(args, "run_deadline", None) is not None:
+    if args.run_deadline is not None:
         overrides["prep_deadline"] = args.run_deadline
         overrides["exec_deadline"] = args.run_deadline
         overrides["cleanup_deadline"] = args.run_deadline
     desc.special_params.update(overrides)
 
 
+def _platform_setup(args):
+    """The description with the CLI overrides, and the platform config."""
+    from repro.platforms.simulated import PlatformConfig
+
+    desc = _load_description(args.description)
+    _apply_resilience_flags(desc, args)
+    return desc, PlatformConfig(protocol=args.protocol, topology=args.topology)
+
+
+def _campaign_setup(args):
+    """Start-up shared by ``campaign`` and ``fabric serve``.
+
+    Returns the description, the campaign directory, the merged database
+    path and the keyword arguments :class:`CampaignEngine` and
+    :class:`FabricCoordinator` both take.
+    """
+    import json
+
+    desc, config = _platform_setup(args)
+    campaign_dir = args.campaign_dir or Path(f"{desc.name}.campaign")
+    db_path = args.db or campaign_dir / f"{desc.name}.db"
+    control_faults = None
+    if args.chaos_json is not None:
+        control_faults = json.loads(args.chaos_json.read_text(encoding="utf-8"))
+    kwargs = {
+        "config": config,
+        "realtime_factor": args.realtime,
+        "max_attempts": 1 + args.max_retries,
+        "control_faults": control_faults,
+        "progress": None if args.quiet else print,
+    }
+    return desc, campaign_dir, db_path, kwargs
+
+
+def _print_campaign_summary(result, campaign_dir: Path) -> None:
+    s = result.summary()
+    print(
+        f"campaign {s['experiment']!r}: {s['executed']} executed, "
+        f"{s['skipped']} resumed, {s['timed_out']} timed out "
+        f"({s['jobs']} {result.pool} workers, {s['duration']:.1f}s)"
+    )
+    telemetry = result.telemetry or {}
+    for phase, stats in (telemetry.get("phases") or {}).items():
+        print(f"  {phase:<12} p50={stats['p50'] * 1000.0:.1f}ms  "
+              f"p95={stats['p95'] * 1000.0:.1f}ms  (n={stats['count']})")
+    if result.pool == "fleet":
+        print("  fleet: " + ", ".join(
+            f"{k}={v}" for k, v in sorted(telemetry.get("fleet", {}).items())
+        ))
+    print(f"campaign directory: {campaign_dir}")
+    print(f"level-3 database: {result.db_path}")
+
+
 def _cmd_run(args) -> int:
     from repro.core.master import ExperiMaster
     from repro.platforms.localhost import LocalhostPlatform
-    from repro.platforms.simulated import PlatformConfig, SimulatedPlatform
+    from repro.platforms.simulated import SimulatedPlatform
     from repro.storage.level2 import Level2Store
     from repro.storage.level3 import store_level3
     from repro.viz.describe import describe_result
 
-    desc = _load_description(args.description)
-    _apply_resilience_flags(desc, args)
+    desc, config = _platform_setup(args)
     store_root = args.store or Path(f"{desc.name}.l2")
-    config = PlatformConfig(protocol=args.protocol, topology=args.topology)
     if args.realtime is not None:
         platform = LocalhostPlatform(desc, config, realtime_factor=args.realtime)
     else:
@@ -490,177 +505,25 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
-    import json
-
     from repro.campaign import CampaignEngine, merge_campaign
-    from repro.platforms.simulated import PlatformConfig
 
-    desc = _load_description(args.description)
-    _apply_resilience_flags(desc, args)
-    campaign_dir = args.campaign_dir or Path(f"{desc.name}.campaign")
-    db_path = args.db or campaign_dir / f"{desc.name}.db"
-
+    desc, campaign_dir, db_path, kwargs = _campaign_setup(args)
     if args.merge_only:
         print(f"level-3 database: {merge_campaign(campaign_dir, db_path)}")
         return 0
-
-    control_faults = None
-    if args.chaos_json is not None:
-        control_faults = json.loads(args.chaos_json.read_text(encoding="utf-8"))
-
-    if args.fleet is not None:
-        return _serve_fleet(
-            desc,
-            campaign_dir,
-            db_path,
-            bind=args.fleet,
-            batch_size=args.batch_size,
-            lease_ttl=args.lease_ttl,
-            max_attempts=1 + args.max_retries,
-            resume=args.resume,
-            control_faults=control_faults,
-            config=PlatformConfig(
-                protocol=args.protocol, topology=args.topology
-            ),
-            realtime_factor=args.realtime,
-            quiet=args.quiet,
-        )
-
     engine = CampaignEngine(
         desc,
         campaign_dir,
         jobs=args.jobs,
         pool=args.pool,
-        config=PlatformConfig(protocol=args.protocol, topology=args.topology),
-        realtime_factor=args.realtime,
-        max_attempts=1 + args.max_retries,
         resume=args.resume,
-        progress=None if args.quiet else print,
         abort_after_runs=args.abort_after,
-        control_faults=control_faults,
         salvage_requeue_loss=args.requeue_salvage_loss,
+        **kwargs,
     )
     result = engine.execute(db_path=db_path)
     if not args.quiet:
-        s = result.summary()
-        print(
-            f"campaign {s['experiment']!r}: {s['executed']} executed, "
-            f"{s['skipped']} resumed, {s['timed_out']} timed out "
-            f"({s['jobs']} {result.pool} workers, {s['duration']:.1f}s)"
-        )
-        phases = (result.telemetry or {}).get("phases") or {}
-        for phase, stats in phases.items():
-            print(f"  {phase:<12} p50={stats['p50'] * 1000.0:.1f}ms  "
-                  f"p95={stats['p95'] * 1000.0:.1f}ms  (n={stats['count']})")
-        print(f"campaign directory: {campaign_dir}")
-        print(f"level-3 database: {result.db_path}")
-    return 0
-
-
-def _serve_fleet(
-    desc,
-    campaign_dir: Path,
-    db_path: Path,
-    *,
-    bind: str,
-    batch_size: int,
-    lease_ttl: float,
-    max_attempts: int,
-    resume: bool,
-    control_faults,
-    config,
-    realtime_factor,
-    quiet: bool,
-    timeout=None,
-    linger: float = 2.0,
-    standby: bool = False,
-    leader_id=None,
-    election_ttl: float = 10.0,
-) -> int:
-    """Shared body of ``repro fabric serve`` and ``repro campaign --fleet``."""
-    import os as _os
-    import time as _time
-
-    from repro.fabric import FabricCoordinator, LeadershipLost, StandbyCoordinator
-    from repro.fabric.wire import parse_address
-
-    host, port = parse_address(bind)
-    if standby:
-        watcher = StandbyCoordinator(
-            desc,
-            campaign_dir,
-            standby_id=leader_id or f"standby-{_os.getpid()}",
-            host=host,
-            port=port,
-            election_ttl=election_ttl,
-            db_path=db_path,
-            on_event=None if quiet else print,
-            batch_size=batch_size,
-            lease_ttl=lease_ttl,
-            max_attempts=max_attempts,
-            config=config,
-            realtime_factor=realtime_factor,
-            control_faults=control_faults,
-            progress=None if quiet else print,
-        )
-        print(f"fabric standby {watcher.standby_id} watching {campaign_dir} "
-              f"(election TTL {election_ttl:g}s)")
-        try:
-            result = watcher.run(timeout=timeout)
-        except LeadershipLost as lost:
-            print(f"standby lost leadership: {lost}")
-            return 0 if lost.reason in ("handoff", "complete") else 3
-        if result is None:
-            return 0
-        _time.sleep(max(0.0, linger))
-    else:
-        coordinator = FabricCoordinator(
-            desc,
-            campaign_dir,
-            host=host,
-            port=port,
-            batch_size=batch_size,
-            lease_ttl=lease_ttl,
-            max_attempts=max_attempts,
-            resume=resume,
-            config=config,
-            realtime_factor=realtime_factor,
-            control_faults=control_faults,
-            leader_id=leader_id,
-            election_ttl=election_ttl,
-            progress=None if quiet else print,
-        )
-        try:
-            with coordinator:
-                print(f"fabric coordinator serving at {coordinator.address} "
-                      f"({len(coordinator.plan)} runs, batch {batch_size}, "
-                      f"lease TTL {lease_ttl:g}s, epoch {coordinator.epoch})")
-                result = coordinator.run_until_complete(
-                    db_path=db_path, timeout=timeout,
-                )
-                # Let polling workers observe done=True and exit cleanly
-                # before the listener disappears.
-                _time.sleep(max(0.0, linger))
-        except LeadershipLost as lost:
-            # A handoff is a clean exit (the successor finishes the
-            # campaign); a deposition means this process must not keep
-            # writing and the operator should look at the successor.
-            print(f"coordinator stopped leading: {lost}")
-            return 0 if lost.reason == "handoff" else 3
-    if not quiet:
-        s = result.summary()
-        print(
-            f"campaign {s['experiment']!r}: {s['executed']} executed, "
-            f"{s['skipped']} resumed, {s['timed_out']} timed out "
-            f"({s['jobs']} fleet workers, {s['duration']:.1f}s)"
-        )
-        fleet = (result.telemetry or {}).get("fleet") or {}
-        if fleet:
-            print("  fleet: " + ", ".join(
-                f"{k}={v}" for k, v in sorted(fleet.items())
-            ))
-        print(f"campaign directory: {campaign_dir}")
-        print(f"level-3 database: {result.db_path}")
+        _print_campaign_summary(result, campaign_dir)
     return 0
 
 
@@ -675,36 +538,68 @@ def _cmd_fabric(args) -> int:
 
 
 def _fabric_serve(args) -> int:
-    import json
+    import os
+    import time
 
-    from repro.platforms.simulated import PlatformConfig
+    from repro.fabric import FabricCoordinator, LeadershipLost, StandbyCoordinator
+    from repro.fabric.wire import parse_address
 
-    desc = _load_description(args.description)
-    _apply_resilience_flags(desc, args)
-    campaign_dir = args.campaign_dir or Path(f"{desc.name}.campaign")
-    db_path = args.db or campaign_dir / f"{desc.name}.db"
-    control_faults = None
-    if args.chaos_json is not None:
-        control_faults = json.loads(args.chaos_json.read_text(encoding="utf-8"))
-    return _serve_fleet(
-        desc,
-        campaign_dir,
-        db_path,
-        bind=args.bind,
-        batch_size=args.batch_size,
-        lease_ttl=args.lease_ttl,
-        max_attempts=1 + args.max_retries,
-        resume=args.resume,
-        control_faults=control_faults,
-        config=PlatformConfig(protocol=args.protocol, topology=args.topology),
-        realtime_factor=args.realtime,
-        quiet=args.quiet,
-        timeout=args.timeout,
-        linger=args.linger,
-        standby=args.standby,
-        leader_id=args.leader_id,
-        election_ttl=args.election_ttl,
-    )
+    desc, campaign_dir, db_path, kwargs = _campaign_setup(args)
+    host, port = parse_address(args.bind)
+    kwargs.update(batch_size=args.batch_size, lease_ttl=args.lease_ttl)
+    if args.standby:
+        watcher = StandbyCoordinator(
+            desc,
+            campaign_dir,
+            standby_id=args.leader_id or f"standby-{os.getpid()}",
+            host=host,
+            port=port,
+            election_ttl=args.election_ttl,
+            db_path=db_path,
+            on_event=None if args.quiet else print,
+            **kwargs,
+        )
+        print(f"fabric standby {watcher.standby_id} watching {campaign_dir} "
+              f"(election TTL {args.election_ttl:g}s)")
+        try:
+            result = watcher.run(timeout=args.timeout)
+        except LeadershipLost as lost:
+            print(f"standby lost leadership: {lost}")
+            return 0 if lost.reason in ("handoff", "complete") else 3
+        if result is None:
+            return 0
+        time.sleep(max(0.0, args.linger))
+    else:
+        coordinator = FabricCoordinator(
+            desc,
+            campaign_dir,
+            host=host,
+            port=port,
+            resume=args.resume,
+            leader_id=args.leader_id,
+            election_ttl=args.election_ttl,
+            **kwargs,
+        )
+        try:
+            with coordinator:
+                print(f"fabric coordinator serving at {coordinator.address} "
+                      f"({len(coordinator.plan)} runs, batch {args.batch_size}, "
+                      f"lease TTL {args.lease_ttl:g}s, epoch {coordinator.epoch})")
+                result = coordinator.run_until_complete(
+                    db_path=db_path, timeout=args.timeout,
+                )
+                # Let polling workers observe done=True and exit cleanly
+                # before the listener disappears.
+                time.sleep(max(0.0, args.linger))
+        except LeadershipLost as lost:
+            # A handoff is a clean exit (the successor finishes the
+            # campaign); a deposition means this process must not keep
+            # writing and the operator should look at the successor.
+            print(f"coordinator stopped leading: {lost}")
+            return 0 if lost.reason == "handoff" else 3
+    if not args.quiet:
+        _print_campaign_summary(result, campaign_dir)
+    return 0
 
 
 def _fabric_worker(args) -> int:

@@ -16,15 +16,16 @@ surface to a fleet of pull-based workers:
 ``status``     JSON snapshot for ``repro fabric status`` and the CI
                chaos drill.
 
-Crash safety is inherited, not invented: every run commit follows the
-local engine's ordering (scope payload → shard transaction → journal
-entry → scheduler), the lease ledger restores in-flight ownership after
-a coordinator restart, and the journal's resume protocol re-queues
-exactly the runs whose commits never landed.  Because runs are pure
-functions of (description, run id), the merged database of a restarted,
-re-leased, partially re-executed fleet campaign is byte-identical to a
-single ``--jobs`` local campaign — the invariant pinned by
-``tests/integration/test_fleet_fabric.py``.
+Crash safety is inherited, not invented: the coordinator drives the same
+:class:`~repro.campaign.session.CampaignSession` as the local engine, so
+every run commit follows one ordering (scope payload → shard transaction
+→ journal entry → scheduler → telemetry), the lease ledger restores
+in-flight ownership after a coordinator restart, and the journal's
+resume protocol re-queues exactly the runs whose commits never landed.
+Because runs are pure functions of (description, run id), the merged
+database of a restarted, re-leased, partially re-executed fleet campaign
+is byte-identical to a single ``--jobs`` local campaign — the invariant
+pinned by ``tests/integration/test_fleet_fabric.py``.
 """
 
 from __future__ import annotations
@@ -37,33 +38,24 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.campaign.engine import CampaignResult, merge_campaign
-from repro.campaign.journal import CampaignJournal
 from repro.campaign.merge import SCOPE_NAME
 from repro.campaign.scheduler import CampaignScheduler
-from repro.campaign.telemetry import CampaignTelemetry
+from repro.campaign.session import CampaignResult, CampaignSession
 from repro.core.description import ExperimentDescription
-from repro.core.errors import CampaignError, RecoveryError
+from repro.core.errors import CampaignError
 from repro.core.heartbeat import HeartbeatConfig
-from repro.core.params import SpecialParams
-from repro.core.plan import generate_plan
+from repro.core.plan import TreatmentPlan
 from repro.core.rpc import RpcServer
 from repro.core.xmlio import description_to_xml
-from repro.fabric.dispatch import LeaseDispatcher
+from repro.fabric.dispatch import LeaseDispatcher, fleet_shard
 from repro.fabric.election import ElectionLedger, LeadershipLost
 from repro.fabric.leases import LeaseStore
 from repro.fabric.registry import WorkerRegistry
 from repro.fabric.shipping import CoordinatorShard
 from repro.fabric.wire import FleetServer
-from repro.faults.control import select_control_faults
 from repro.storage.durable_log import fsync_dir
 
 __all__ = ["FabricCoordinator", "serve_campaign"]
-
-
-def _worker_slug(worker_id: str) -> str:
-    """Filesystem-safe shard name for a worker id."""
-    return "".join(c if c.isalnum() or c in "-_" else "_" for c in worker_id) or "worker"
 
 
 def config_to_wire(config) -> Optional[Dict[str, Any]]:
@@ -95,7 +87,9 @@ class FabricCoordinator:
     """Owns one campaign's distributed execution.
 
     Parameters mirror :class:`repro.campaign.engine.CampaignEngine` where
-    they mean the same thing; fabric-specific knobs:
+    they mean the same thing (both pass them to one
+    :class:`~repro.campaign.session.CampaignSession`); fabric-specific
+    knobs:
 
     host, port:
         Bind address for the fleet server (``port=0`` = ephemeral).
@@ -164,7 +158,6 @@ class FabricCoordinator:
         self.election_ttl = float(election_ttl)
         self.takeover = resume if takeover is None else bool(takeover)
 
-        self.journal = CampaignJournal(self.campaign_dir)
         self.election = ElectionLedger(
             self.campaign_dir,
             ttl=self.election_ttl,
@@ -174,14 +167,8 @@ class FabricCoordinator:
         self._lock = threading.RLock()
         self._server: Optional[FleetServer] = None
         self._scope_lock = threading.Lock()
-        self.session = 0
-        self.scheduler: Optional[CampaignScheduler] = None
+        self.session: Optional[CampaignSession] = None
         self.dispatcher: Optional[LeaseDispatcher] = None
-        self.telemetry: Optional[CampaignTelemetry] = None
-        self._staged: Dict[int, Dict[str, Any]] = {}
-        self._timed_out: List[int] = []
-        self._started_at = 0.0
-        self._completed_recorded = False
         self._handoff_draining = False
         self._deposed_reason: Optional[str] = None
         self._renew_stop = threading.Event()
@@ -201,6 +188,14 @@ class FabricCoordinator:
     def scope_path(self) -> Path:
         return self.campaign_dir / SCOPE_NAME
 
+    @property
+    def plan(self) -> TreatmentPlan:
+        return self.session.plan
+
+    @property
+    def scheduler(self) -> CampaignScheduler:
+        return self.session.scheduler
+
     def start(self) -> "FabricCoordinator":
         """Claim leadership, open the journal session, begin serving.
 
@@ -210,15 +205,6 @@ class FabricCoordinator:
         socket and raises :class:`LeadershipLost` without having touched
         the journal.
         """
-        self._started_at = time.monotonic()
-        desc = self.description
-        self.plan = generate_plan(
-            desc.factors,
-            desc.seed,
-            custom_treatments=self.custom_treatments,
-        )
-        plan_fp = self.plan.fingerprint()
-
         rpc = RpcServer("fabric-coordinator")
         rpc.register_function(self._rpc_register, "register")
         rpc.register_function(self._rpc_heartbeat, "heartbeat")
@@ -248,36 +234,23 @@ class FabricCoordinator:
             )
         self.epoch = epoch
 
-        if self.resume:
-            self._staged = self.journal.prepare_resume(desc, len(self.plan), plan_fp)
-        else:
-            if self.journal.started():
-                raise RecoveryError(
-                    "campaign directory already holds a journal; pass "
-                    "resume=True or use a fresh directory",
-                )
-            self._staged = {}
-        self.session = self.journal.record_start(
-            desc.fingerprint(),
-            desc.seed,
-            len(self.plan),
-            plan_fp,
-        )
-        self.scheduler = CampaignScheduler(
-            self.plan,
-            completed=self._staged,
-            jobs=1,  # fleet capacity is the workers', not the coordinator's
-            max_parallel=0,
+        self.session = CampaignSession(
+            self.description,
+            self.campaign_dir,
             max_attempts=self.max_attempts,
+            resume=self.resume,
+            custom_treatments=self.custom_treatments,
+            control_faults=self.control_faults,
             quarantine_after=self.quarantine_after,
+            progress=self.progress,
+            # The durable part of every commit runs under the election
+            # flock with the epoch re-validated inside: a leader deposed
+            # mid-ack (a partition healed, a rival claimed) cannot commit.
+            fence=lambda commit: self.election.fenced(self.epoch, commit),
+            epoch=self.epoch,
         )
-        self.telemetry = CampaignTelemetry(
-            total_runs=len(self.plan),
-            emit=self.progress,
-        )
-        self.telemetry.campaign_started(skipped=len(self._staged))
         self.dispatcher = LeaseDispatcher(
-            self.scheduler,
+            self.session,
             LeaseStore(
                 self.campaign_dir,
                 ttl=self.lease_ttl,
@@ -285,8 +258,6 @@ class FabricCoordinator:
                 epoch=self.epoch,
             ),
             WorkerRegistry(self.heartbeat, clock=self.clock),
-            self.journal,
-            telemetry=self.telemetry,
             batch_size=self.batch_size,
             clock=self.clock,
         )
@@ -298,7 +269,7 @@ class FabricCoordinator:
         # Fence the lease ledger at our epoch immediately: anything a
         # deposed predecessor appends from here on replays as stale.
         self.dispatcher.leases.fence()
-        self.description_xml = description_to_xml(desc)
+        self.description_xml = description_to_xml(self.description)
         self._scope_run = min((run.run_id for run in self.plan), default=0)
 
         self._renew_stop.clear()
@@ -364,9 +335,8 @@ class FabricCoordinator:
         rejected).  A caller *behind* us is stale (it must re-register
         and learn the current epoch); a caller *ahead* of us means a
         rival claimed a higher epoch — we are the stale one and stop
-        leading on the spot.  ``epoch < 0`` marks a legacy caller and is
-        accepted for wire compatibility."""
-        if epoch < 0 or epoch == self.epoch:
+        leading on the spot."""
+        if epoch == self.epoch:
             return False
         if epoch > self.epoch:
             self._mark_deposed("deposed")
@@ -384,13 +354,13 @@ class FabricCoordinator:
             # experiment scope — unless a previous session already staged
             # the scope run locally (its store serves the merge) or a
             # fleet shipment already persisted scope.json.
-            staged_scope = self._staged.get(self._scope_run)
+            staged_scope = self.session.staged.get(self._scope_run)
             need_scope = not self.scope_path.exists() and not (
                 staged_scope is not None and staged_scope.get("store") is not None
             )
             return json.dumps(
                 {
-                    "session": self.session,
+                    "session": self.session.index,
                     "fingerprint": self.description.fingerprint(),
                     "total_runs": len(self.plan),
                     "description_xml": self.description_xml,
@@ -410,7 +380,7 @@ class FabricCoordinator:
         with self._lock:
             return self.dispatcher.beat(worker_id)
 
-    def _rpc_lease(self, worker_id: str, want: int, epoch: int = -1) -> str:
+    def _rpc_lease(self, worker_id: str, want: int, epoch: int) -> str:
         with self._lock:
             if self._deposed_reason is not None:
                 return json.dumps(
@@ -440,21 +410,14 @@ class FabricCoordinator:
                         "draining": worker_id in self.dispatcher.registry.draining,
                     },
                 )
-            runs = []
-            for ticket in batch:
-                self.journal.record_run_start(ticket.run_id, worker_id)
-                self.telemetry.run_started(ticket.run_id, worker_id)
-                runs.append(
-                    {
-                        "run_id": ticket.run_id,
-                        "attempt": ticket.attempts,
-                        "control_faults": select_control_faults(
-                            self.control_faults,
-                            attempt=ticket.attempts,
-                            session=self.session,
-                        ),
-                    },
-                )
+            runs = [
+                {
+                    "run_id": ticket.run_id,
+                    "attempt": ticket.attempts,
+                    "control_faults": self.session.start_run(ticket, worker_id),
+                }
+                for ticket in batch
+            ]
             return json.dumps(
                 {
                     "lease_id": lease.lease_id,
@@ -465,7 +428,7 @@ class FabricCoordinator:
                 },
             )
 
-    def _rpc_renew(self, worker_id: str, lease_id: str, epoch: int = -1) -> bool:
+    def _rpc_renew(self, worker_id: str, lease_id: str, epoch: int) -> bool:
         with self._lock:
             if self._deposed_reason is not None or self._epoch_gate(epoch):
                 return False
@@ -479,7 +442,7 @@ class FabricCoordinator:
         ok: bool,
         payload_json: str,
         error: str,
-        epoch: int = -1,
+        epoch: int,
     ) -> str:
         with self._lock:
             if self._deposed_reason is not None:
@@ -498,53 +461,35 @@ class FabricCoordinator:
                 return json.dumps({"status": status})
             payload = json.loads(payload_json)
 
-            def commit() -> None:
+            def stage() -> None:
                 self._persist_scope(payload.get("scope"))
-                shard_rel = f"shards/fleet_{_worker_slug(worker_id)}.db"
-                with CoordinatorShard(self.campaign_dir / shard_rel) as shard:
+                with CoordinatorShard(self.campaign_dir / fleet_shard(worker_id)) as shard:
                     shard.ingest(run_id, payload["tables"])
-                self.journal.record_run_complete(
-                    run_id,
-                    worker_id,
-                    None,
-                    shard_rel,
-                    epoch=self.epoch,
-                )
-
-            def fenced_commit() -> None:
-                # The durable write runs under the election flock with the
-                # epoch re-validated inside: a leader deposed mid-ack (a
-                # partition healed, a rival claimed) cannot commit.
-                self.election.fenced(self.epoch, commit)
 
             try:
                 status = self.dispatcher.ack_completed(
                     worker_id,
                     lease_id,
                     run_id,
-                    fenced_commit,
-                    duration=float(payload.get("duration", 0.0)),
+                    stage,
+                    outcome={
+                        "duration": payload.get("duration", 0.0),
+                        "timed_out": payload.get("timed_out"),
+                        "phases": payload.get("phases"),
+                        **(payload.get("stats") or {}),
+                    },
                 )
             except LeadershipLost:
                 self._mark_deposed("deposed")
                 return json.dumps({"status": "not_leader"})
-            if status == "committed":
-                if payload.get("timed_out"):
-                    self._timed_out.append(run_id)
-                stats = payload.get("stats") or {}
-                self.telemetry.rpc_stats(
-                    stats.get("rpc_retries", 0),
-                    stats.get("rpc_timeouts", 0),
-                )
-                self.telemetry.run_phases(payload.get("phases") or {})
             return json.dumps({"status": status})
 
     def _rpc_status(self) -> str:
         with self._lock:
             status = self.dispatcher.status()
-            status["session"] = self.session
+            status["session"] = self.session.index
             status["total_runs"] = len(self.plan)
-            status["staged"] = len(self.scheduler.done) + len(self._staged)
+            status["staged"] = len(self.scheduler.done) + len(self.session.staged)
             status["finished"] = self.scheduler.finished
             status["failed_runs"] = sorted(self.scheduler.failed)
             status["election"] = self.election.summary()
@@ -668,41 +613,16 @@ class FabricCoordinator:
     def finalize(self, db_path=None) -> CampaignResult:
         """Seal a settled campaign: journal ``campaign_complete``, merge."""
         with self._lock:
-            if not self.scheduler.finished:
-                raise CampaignError("campaign still has unsettled runs")
-            result = CampaignResult(
-                description=self.description,
-                plan=self.plan,
-                campaign_dir=self.campaign_dir,
-                executed_runs=sorted(self.scheduler.done),
-                skipped_runs=sorted(self._staged),
-                failed_runs=dict(self.scheduler.failed),
-                timed_out_runs=sorted(self._timed_out),
-                duration=time.monotonic() - self._started_at,
+            result = self.session.seal(
                 jobs=len(self.dispatcher.registry.workers()) or 1,
                 pool="fleet",
-                telemetry=self.telemetry.summary(),
             )
-            if result.failed_runs:
-                failed = ", ".join(str(r) for r in sorted(result.failed_runs))
-                raise CampaignError(
-                    f"{len(result.failed_runs)} run(s) failed after "
-                    f"{self.max_attempts} attempt(s): {failed}; fix the cause "
-                    "and resume the campaign",
-                )
-            if not self._completed_recorded and not self.journal.finished():
-                self.journal.record_complete()
-                self._completed_recorded = True
             # Leadership is no longer needed: release so watching
             # standbys exit instead of waiting out the TTL.
             self._renew_stop.set()
             self.election.release(self.epoch, "complete")
         if db_path is not None:
-            self.telemetry.merge_started(
-                len(self._staged) + len(self.scheduler.done),
-            )
-            result.db_path = merge_campaign(self.campaign_dir, db_path)
-            result.duration = time.monotonic() - self._started_at
+            self.session.merge(result, db_path)
         return result
 
 

@@ -1,14 +1,16 @@
 """The lease dispatcher: queue-based load leveling over the run queue.
 
-Sits between the campaign scheduler (the persistent run queue) and the
-fleet: workers *pull* batches, the dispatcher grants each pull as a
-durable lease, and every state change funnels through one object so the
-coordinator can serialize it under a single lock.
+Sits between the campaign session (:mod:`repro.campaign.session`: its
+scheduler is the persistent run queue, and it settles every run exactly
+as a local pool's would) and the fleet: workers *pull* batches, the
+dispatcher grants each pull as a durable lease, and every state change
+funnels through one object so the coordinator can serialize it under a
+single lock.
 
 The guarantees, and where each lives:
 
 * **No duplicate bookkeeping.**  First ack wins: a run already in the
-  scheduler's ``done`` set is a duplicate and its commit callback is
+  scheduler's ``done`` set is a duplicate and its staging step is
   never invoked — a re-leased batch whose original worker resurfaces
   cannot double-commit (:meth:`ack_completed`).
 * **Exactly-once re-lease.**  Expiry, revocation and quarantine all run
@@ -28,17 +30,22 @@ The guarantees, and where each lives:
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.campaign.journal import CampaignJournal
-from repro.campaign.scheduler import CampaignScheduler, RunTicket
-from repro.campaign.telemetry import CampaignTelemetry
-from repro.core.errors import extract_node_id
+from repro.campaign.scheduler import RunTicket
+from repro.campaign.session import CampaignSession
 from repro.core.heartbeat import DEAD, QUARANTINED
 from repro.fabric.leases import Lease, LeaseStore
 from repro.fabric.registry import WorkerRegistry
 
-__all__ = ["LeaseDispatcher"]
+__all__ = ["LeaseDispatcher", "fleet_shard"]
+
+
+def fleet_shard(worker_id: str) -> str:
+    """The coordinator-side shard a worker's shipped runs land in,
+    relative to the campaign directory (a filesystem-safe name)."""
+    slug = "".join(c if c.isalnum() or c in "-_" else "_" for c in worker_id) or "worker"
+    return f"shards/fleet_{slug}.db"
 
 
 class LeaseDispatcher:
@@ -51,23 +58,20 @@ class LeaseDispatcher:
 
     def __init__(
         self,
-        scheduler: CampaignScheduler,
+        session: CampaignSession,
         leases: LeaseStore,
         registry: WorkerRegistry,
-        journal: CampaignJournal,
-        telemetry: Optional[CampaignTelemetry] = None,
         batch_size: int = 4,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self.scheduler = scheduler
+        self.session = session
+        self.scheduler = session.scheduler
+        self.journal = session.journal
+        self.telemetry = session.telemetry
         self.leases = leases
         self.registry = registry
-        self.journal = journal
-        self.telemetry = telemetry
         self.batch_size = max(1, int(batch_size))
         self.clock = clock
-        #: lease id → {run_id: ticket} for in-flight (unacked) runs.
-        self._tickets: Dict[str, Dict[int, RunTicket]] = {}
 
     # ------------------------------------------------------------------
     # Membership
@@ -77,14 +81,13 @@ class LeaseDispatcher:
         fresh = self.registry.register(worker_id, capacity)
         if fresh:
             self.journal.record_worker_registered(worker_id, capacity)
-            if self.telemetry is not None:
-                self.telemetry.worker_registered(worker_id, capacity)
+            self.telemetry.worker_registered(worker_id, capacity)
         return fresh
 
     def beat(self, worker_id: str) -> str:
         """One worker heartbeat; returns the worker's (new) state."""
         moved = self.registry.beat(worker_id)
-        if moved is not None and self.telemetry is not None:
+        if moved is not None:
             self.telemetry.worker_state(worker_id, moved[0], moved[1])
         return self.registry.state(worker_id)
 
@@ -107,9 +110,7 @@ class LeaseDispatcher:
         if not batch:
             return None, []
         lease = self.leases.grant(worker_id, [t.run_id for t in batch])
-        self._tickets[lease.lease_id] = {t.run_id: t for t in batch}
-        if self.telemetry is not None:
-            self.telemetry.lease_granted(worker_id, lease.lease_id, len(batch))
+        self.telemetry.lease_granted(worker_id, lease.lease_id, len(batch))
         return lease, batch
 
     def renew(self, worker_id: str, lease_id: str) -> bool:
@@ -129,16 +130,18 @@ class LeaseDispatcher:
         worker_id: str,
         lease_id: str,
         run_id: int,
-        commit: Callable[[], None],
-        duration: float = 0.0,
+        stage: Callable[[], None],
+        outcome: Optional[Dict[str, Any]] = None,
     ) -> str:
         """Settle one successfully executed run.
 
-        *commit* is the coordinator's durable-commit callback (scope
-        persist + shard ingest + journal entry) and runs only when this
-        ack is the run's first — the idempotency point for duplicate
-        acks, late acks of re-leased runs, and client retries of a
-        response that was lost in flight.
+        *stage* is the coordinator's durable staging step (scope persist
+        + shard ingest into :func:`fleet_shard`); the session runs it and
+        then journals the run, only when this ack is the run's first —
+        the idempotency point for duplicate acks, late acks of re-leased
+        runs, and client retries of a response that was lost in flight.
+        *outcome* is the run's timing and statistics (see
+        :meth:`CampaignSession.complete`).
 
         Returns ``"committed"`` or ``"duplicate"``.
         """
@@ -149,13 +152,14 @@ class LeaseDispatcher:
             # previous session staged): acknowledge without committing.
             self.leases.ack(lease_id, run_id)
             return "duplicate"
-        commit()
-        self.scheduler.mark_done(run_id)
+        self.session.complete(
+            run_id,
+            worker_id,
+            fleet_shard(worker_id),
+            outcome=outcome,
+            stage=stage,
+        )
         self.leases.ack(lease_id, run_id)
-        tickets = self._tickets.get(lease_id, {})
-        tickets.pop(run_id, None)
-        if self.telemetry is not None:
-            self.telemetry.run_completed(run_id, worker_id, duration)
         return "committed"
 
     def ack_failed(self, worker_id: str, lease_id: str, run_id: int, error: str) -> str:
@@ -165,41 +169,14 @@ class LeaseDispatcher:
         ``"duplicate"``.
         """
         self.registry.beat(worker_id)
-        if self._settled(run_id):
+        if self._settled(run_id) or run_id not in self.scheduler.in_flight:
+            # Settled already, or the lease expired and the run was
+            # released: this late report must not charge a fresh attempt.
             self.leases.ack(lease_id, run_id)
             return "duplicate"
-        if run_id not in self.scheduler.in_flight:
-            # The lease expired and the run was already released; this
-            # late failure report must not charge the fresh attempt.
-            self.leases.ack(lease_id, run_id)
-            return "duplicate"
-        node_id = extract_node_id(error)
-        terminal = (node_id is not None and node_id in self.scheduler.quarantined_nodes)
-        requeued = self.scheduler.mark_failed(run_id, error, terminal=terminal)
-        self.journal.record_run_failed(
-            run_id,
-            error,
-            self._attempts(lease_id, run_id),
-        )
+        requeued = self.session.fail(run_id, worker_id, error)
         self.leases.ack(lease_id, run_id)
-        self._tickets.get(lease_id, {}).pop(run_id, None)
-        if self.telemetry is not None:
-            self.telemetry.run_failed(run_id, worker_id, error, requeued)
-        if node_id is not None and self.scheduler.record_node_failure(node_id):
-            self.journal.record_node_quarantined(
-                node_id,
-                self.scheduler.node_failures[node_id],
-            )
-            if self.telemetry is not None:
-                self.telemetry.node_quarantined(
-                    node_id,
-                    self.scheduler.node_failures[node_id],
-                )
         return "requeued" if requeued else "failed"
-
-    def _attempts(self, lease_id: str, run_id: int) -> int:
-        ticket = self._tickets.get(lease_id, {}).get(run_id)
-        return ticket.attempts if ticket is not None else 1
 
     def _settled(self, run_id: int) -> bool:
         """A run is settled if this session committed it (``done``) or a
@@ -222,9 +199,7 @@ class LeaseDispatcher:
         closed = self.leases.close(lease.lease_id, reason)
         if closed is None or closed.closed != reason:
             return []
-        requeued = [run_id for run_id in lease.pending if self.scheduler.release(run_id)]
-        self._tickets.pop(lease.lease_id, None)
-        return requeued
+        return [run_id for run_id in lease.pending if self.scheduler.release(run_id)]
 
     def sweep(self, now: Optional[float] = None) -> Dict[str, List[str]]:
         """Periodic housekeeping: liveness misses, TTL expiry, quarantine.
@@ -235,8 +210,7 @@ class LeaseDispatcher:
         now = self.clock() if now is None else now
         out: Dict[str, List[str]] = {"expired": [], "quarantined": []}
         for worker_id, old, new in self.registry.sweep(now):
-            if self.telemetry is not None:
-                self.telemetry.worker_state(worker_id, old, new)
+            self.telemetry.worker_state(worker_id, old, new)
             if new == QUARANTINED:
                 out["quarantined"].append(worker_id)
                 self._quarantine_leases(worker_id, "liveness flapping")
@@ -254,12 +228,7 @@ class LeaseDispatcher:
                 lease.worker_id,
                 requeued,
             )
-            if self.telemetry is not None:
-                self.telemetry.lease_expired(
-                    lease.lease_id,
-                    lease.worker_id,
-                    len(requeued),
-                )
+            self.telemetry.lease_expired(lease.lease_id, lease.worker_id, len(requeued))
         return out
 
     def _quarantine_leases(self, worker_id: str, reason: str) -> List[int]:
@@ -267,8 +236,7 @@ class LeaseDispatcher:
         for lease in self.leases.for_worker(worker_id):
             requeued.extend(self._reclaim(lease, "revoked"))
         self.journal.record_worker_quarantined(worker_id, reason)
-        if self.telemetry is not None:
-            self.telemetry.worker_quarantined(worker_id, reason)
+        self.telemetry.worker_quarantined(worker_id, reason)
         return requeued
 
     def quarantine_worker(self, worker_id: str, reason: str) -> List[int]:
@@ -298,14 +266,9 @@ class LeaseDispatcher:
         """
         restored = self.leases.restore()
         for lease in self.leases.active():
-            kept: Dict[int, RunTicket] = {}
             for run_id in lease.pending:
-                if self._settled(run_id):
-                    continue
-                ticket = self.scheduler.claim(run_id)
-                if ticket is not None:
-                    kept[run_id] = ticket
-            self._tickets[lease.lease_id] = kept
+                if not self._settled(run_id):
+                    self.scheduler.claim(run_id)
             self.leases.renew(lease.lease_id)
             self.registry.register(lease.worker_id)
         return restored

@@ -158,11 +158,11 @@ class FabricWorker:
             ),
         )
         self._campaign = bundle
-        self.epoch = int(bundle.get("epoch", -1))
+        self.epoch = int(bundle["epoch"])
         self._note(
             f"registered with {self.address}: campaign "
-            f"{bundle['fingerprint'][:12]}, {bundle['total_runs']} runs"
-            + (f", epoch {self.epoch}" if self.epoch >= 0 else ""),
+            f"{bundle['fingerprint'][:12]}, {bundle['total_runs']} runs, "
+            f"epoch {self.epoch}",
         )
         return bundle
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sqlite3
 import zlib
 from pathlib import Path
 
@@ -66,3 +67,18 @@ def read_crc_framed(path):
     records = DurableLog(path).records()
     assert len(records) == len(lines)
     return records
+
+
+def stage_fleet_shard(campaign_dir, shard, run_id):
+    """Commit a RunInfos row for *run_id* into the coordinator shard
+    *shard* (relative to *campaign_dir*): all a fleet resume checks
+    before it trusts a journaled ``run_complete``."""
+    path = Path(campaign_dir) / shard
+    path.parent.mkdir(parents=True, exist_ok=True)
+    conn = sqlite3.connect(str(path))
+    try:
+        with conn:
+            conn.execute("CREATE TABLE IF NOT EXISTS RunInfos (RunID INTEGER)")
+            conn.execute("INSERT INTO RunInfos VALUES (?)", (run_id,))
+    finally:
+        conn.close()

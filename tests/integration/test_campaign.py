@@ -171,3 +171,42 @@ def test_cli_campaign_subcommand(tmp_path, capsys):
     )
     assert rc == 0
     assert database_digest(tmp_path / "cli.db") == database_digest(tmp_path / "cli2.db")
+
+
+def test_dead_pool_worker_is_replaced_and_its_runs_retried(serial_reference, tmp_path, monkeypatch):
+    """A worker process that dies breaks the whole process pool: the
+    engine swaps in a fresh pool, and the runs that were in flight on
+    the dead one retry as ordinary failed attempts."""
+    import multiprocessing
+    import os
+
+    import repro.core.master as master
+
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("the patched worker body reaches the pool only through fork")
+    _, ref_root = serial_reference
+    crashed = tmp_path / "crashed"
+    execute_spec_run = master.execute_spec_run
+
+    def exit_once(spec):
+        if spec["run_id"] == 3 and not crashed.exists():
+            crashed.touch()
+            os._exit(9)
+        return execute_spec_run(spec)
+
+    monkeypatch.setattr(master, "execute_spec_run", exit_once)
+    result = run_campaign(
+        _desc(),
+        tmp_path / "campaign",
+        db_path=tmp_path / "crash.db",
+        jobs=2,
+        pool="process",
+        max_attempts=2,
+    )
+    assert crashed.exists()
+    assert result.executed_runs == list(range(len(result.plan)))
+    reasons = CampaignJournal(tmp_path / "campaign").failure_reasons()
+    assert reasons[3]["error"].startswith("BrokenProcessPool")
+    ignore = ("AbortReason",)
+    digest = database_digest(tmp_path / "crash.db", ignore_columns=ignore)
+    assert digest == database_digest(ref_root / "ref.db", ignore_columns=ignore)

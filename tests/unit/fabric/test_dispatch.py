@@ -1,15 +1,12 @@
 """Unit tests for the lease dispatcher: grants, dedup, reclaim, restore."""
 
-import pytest
-
-from repro.campaign.journal import CampaignJournal
-from repro.campaign.scheduler import CampaignScheduler
-from repro.core.factors import Factor, FactorList, Level, ReplicationFactor, Usage
+from repro.campaign.session import CampaignSession
 from repro.core.heartbeat import ALIVE, DEAD, HeartbeatConfig, QUARANTINED
-from repro.core.plan import generate_plan
-from repro.fabric.dispatch import LeaseDispatcher
+from repro.fabric.dispatch import LeaseDispatcher, fleet_shard
 from repro.fabric.leases import LeaseStore
 from repro.fabric.registry import WorkerRegistry
+from repro.sd.processlib import build_two_party_description
+from tests.conftest import stage_fleet_shard
 
 
 class FakeClock:
@@ -23,25 +20,17 @@ class FakeClock:
         self.now += seconds
 
 
-def _plan(replications=6):
-    factors = FactorList(
-        [Factor(id="f", type="int", usage=Usage.CONSTANT, levels=[Level(1)])],
-        ReplicationFactor(id="rep", count=replications),
-    )
-    return generate_plan(factors, 42)
+def _session(tmp_path, replications=6, max_attempts=2, resume=False):
+    desc = build_two_party_description(seed=42, replications=replications, env_count=1)
+    return CampaignSession(desc, tmp_path, max_attempts=max_attempts, resume=resume)
 
 
 def _dispatcher(tmp_path, clock, replications=6, ttl=30.0, max_attempts=2):
-    plan = _plan(replications)
-    journal = CampaignJournal(tmp_path)
-    journal.record_start("fp", 42, len(plan), plan.fingerprint())
-    scheduler = CampaignScheduler(plan, jobs=1, max_parallel=0, max_attempts=max_attempts)
     heartbeat = HeartbeatConfig(interval=1.0, suspect_after=2, dead_after=4, quarantine_after=2)
     dispatcher = LeaseDispatcher(
-        scheduler,
+        _session(tmp_path, replications, max_attempts),
         LeaseStore(tmp_path, ttl=ttl, clock=clock),
         WorkerRegistry(heartbeat, clock=clock),
-        journal,
         batch_size=2,
         clock=clock,
     )
@@ -184,17 +173,17 @@ def test_restore_reclaims_pending_runs_and_grace_renews(tmp_path):
     clock = FakeClock()
     dispatcher = _dispatcher(tmp_path, clock, ttl=10.0)
     lease, _ = dispatcher.grant("w1", 2)
-    dispatcher.ack_completed("w1", lease.lease_id, 0, lambda: None)
+    shard = fleet_shard("w1")
+    dispatcher.ack_completed("w1", lease.lease_id, 0, lambda: stage_fleet_shard(tmp_path, shard, 0))
 
-    # Coordinator restart: fresh scheduler (run 0 staged), fresh dispatcher.
+    # Coordinator restart: fresh session (run 0 staged), fresh dispatcher.
     clock.advance(9.0)
-    plan = _plan(6)
-    scheduler = CampaignScheduler(plan, completed=[0], jobs=1, max_parallel=0)
+    session = _session(tmp_path, resume=True)
+    assert session.staged.keys() == {0}
     restored = LeaseDispatcher(
-        scheduler,
+        session,
         LeaseStore(tmp_path, ttl=10.0, clock=clock),
         WorkerRegistry(HeartbeatConfig(), clock=clock),
-        dispatcher.journal,
         batch_size=2,
         clock=clock,
     )
@@ -214,22 +203,22 @@ def test_replayed_ack_of_staged_run_deduplicates(tmp_path):
     the crash: the new session must answer ``duplicate`` — not commit
     again, and not corrupt the scheduler's pending accounting."""
     clock = FakeClock()
-    plan = _plan(4)
-    journal = CampaignJournal(tmp_path)
-    journal.record_start("fp", 42, len(plan), plan.fingerprint())
+    first = _session(tmp_path, replications=4)
     # Session 1 granted L000001 for runs (0, 1) and committed run 0.
     old = LeaseStore(tmp_path, ttl=30.0, clock=clock)
     old_lease = old.grant("w1", [0, 1])
+    stage_fleet_shard(tmp_path, fleet_shard("w1"), 0)
+    first.journal.record_run_complete(0, "w1", None, fleet_shard("w1"))
     # Session 2: run 0 arrives staged (journal replay), not via `done`.
-    scheduler = CampaignScheduler(plan, completed=[0], jobs=1, max_parallel=0)
+    session = _session(tmp_path, replications=4, resume=True)
+    scheduler = session.scheduler
     heartbeat = HeartbeatConfig(
         interval=1.0, suspect_after=2, dead_after=4, quarantine_after=2,
     )
     dispatcher = LeaseDispatcher(
-        scheduler,
+        session,
         LeaseStore(tmp_path, ttl=30.0, clock=clock),
         WorkerRegistry(heartbeat, clock=clock),
-        journal,
         batch_size=2,
         clock=clock,
     )

@@ -168,3 +168,33 @@ def test_inspect_leases_fails_loudly_on_a_corrupt_reconciled_lease(tmp_path, cap
     path.write_bytes(path.read_bytes().replace(b"h1/0/0", b"h1/0/9"))
     assert main(["inspect", str(store.root), "--leases"]) == 2
     assert f"{path} (line 1: crc_mismatch)" in capsys.readouterr().err
+
+
+def test_campaign_and_fabric_serve_share_one_option_group(tmp_path):
+    from repro.cli import build_parser
+
+    tail = [
+        "exp.xml", "--dir", "c", "--db", "c.db", "--resume", "--max-retries", "3",
+        "--chaos-json", "chaos.json", "--protocol", "slp", "--topology", "grid",
+        "--realtime", "2.5", "--rpc-timeout", "4", "--run-deadline", "9", "--quiet",
+    ]
+    parser = build_parser()
+    local = vars(parser.parse_args(["campaign", *tail]))
+    fleet = vars(parser.parse_args(["fabric", "serve", *tail]))
+    shared = {
+        "description", "campaign_dir", "db", "resume", "max_retries", "chaos_json",
+        "protocol", "topology", "realtime", "rpc_timeout", "run_deadline", "quiet",
+    }
+    assert {dest: local[dest] for dest in shared} == {dest: fleet[dest] for dest in shared}
+    assert local["max_retries"] == 3 and local["protocol"] == "slp"
+    # `repro run` takes the platform subset of the same group.
+    run = vars(parser.parse_args(["run", *tail[:1], *tail[10:]]))
+    platform = shared - {"description", "campaign_dir", "db", "resume", "max_retries",
+                         "chaos_json"}
+    assert {dest: run[dest] for dest in platform} == {dest: local[dest] for dest in platform}
+
+
+def test_campaign_fleet_shorthand_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["campaign", "exp.xml", "--fleet", "127.0.0.1:0"])
+    assert exc.value.code == 2
