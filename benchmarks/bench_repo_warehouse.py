@@ -3,9 +3,10 @@ legacy single-file repository's sequential imports.
 
 Regenerates: the perf numbers behind DESIGN.md §13 ("L4 warehouse").
 Builds a fleet of synthetic level-3 packages, archives them once through
-``ExperimentRepository.import_experiment`` calls in a loop (the pre-PR-6
-path: per-package digest, Python-level row streaming, one transaction
-per package) and once through the warehouse's ``WriteBehindIngester``
+``LegacyRepository.import_experiment`` calls in a loop (the frozen
+single-file path in ``legacy_repository.py``: per-package digest,
+Python-level row streaming, one transaction per package) and once
+through the warehouse's ``WriteBehindIngester``
 (parallel fingerprint prep, grouped ``ATTACH`` copies, batched journal
 fsyncs), then cross-checks that the warehouse's materialized read models
 answer exactly like direct queries over the source packages.
@@ -32,10 +33,10 @@ import tempfile
 import time
 from pathlib import Path
 
+from legacy_repository import LegacyRepository
 from repro.repo import Warehouse, WriteBehindIngester
 from repro.storage.level2 import Level2Store
 from repro.storage.level3 import ExperimentDatabase, store_level3
-from repro.storage.level4 import ExperimentRepository
 
 DESC_XML = """<experiment name="{name}" seed="7" comment="bench">
   <platform>
@@ -105,7 +106,7 @@ def build_packages(root: Path, count: int) -> list:
 # ----------------------------------------------------------------------
 def legacy_sequential(repo_path: Path, packages) -> float:
     start = time.perf_counter()
-    with ExperimentRepository(repo_path) as repo:
+    with LegacyRepository(repo_path) as repo:
         for package in packages:
             repo.import_experiment(package)
     return time.perf_counter() - start

@@ -39,10 +39,6 @@ workflows:
     catalogue, ``query`` the materialized read models, ``diff`` two
     experiments, and ``regression-check`` a fresh package against a
     warehouse baseline (non-zero exit on drift).
-``repro import <repository.db> <experiment.db> [...]``
-    Deprecated alias kept for existing scripts: imports into the
-    single-file level-4 repository.  New tooling should use
-    ``repro repo ingest``.
 
 Usage: ``python -m repro <command> ...`` (or the ``repro`` console script
 if installed with entry points).
@@ -248,14 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "database's SalvageInfo table and in "
                              "<store>/quarantine/salvage_report.json")
 
-    p_imp = sub.add_parser(
-        "import",
-        help="import level-3 DBs into a single-file repository "
-             "(deprecated: use `repro repo ingest`)",
-    )
-    p_imp.add_argument("repository", type=Path)
-    p_imp.add_argument("databases", type=Path, nargs="+")
-
     p_repo = sub.add_parser(
         "repo", help="the sharded L4 analytics warehouse"
     )
@@ -269,11 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     r_ing.add_argument("--force", action="store_true",
                        help="ingest even if an identical package (same "
                             "Table-I digest) is already catalogued")
-    r_ing.add_argument("--sync", action="store_true",
-                       help="bypass the write-behind queue and ingest "
-                            "sequentially")
-    r_ing.add_argument("--batch-size", type=int, default=16, metavar="N",
-                       help="write-behind batch size (default 16)")
 
     r_list = repo_sub.add_parser("list", help="catalogue: experiments and "
                                               "partitions")
@@ -875,20 +858,6 @@ def _cmd_condition(args) -> int:
     return 0
 
 
-def _cmd_import(args) -> int:
-    from repro.storage.level4 import ExperimentRepository
-
-    print("warning: `repro import` is deprecated; use `repro repo ingest` "
-          "(sharded warehouse with dedup and crash-safe ingestion)",
-          file=sys.stderr)
-    with ExperimentRepository(args.repository) as repo:
-        for db in args.databases:
-            exp_id = repo.import_experiment(db)
-            print(f"imported {db} as experiment #{exp_id}")
-        print(f"repository now holds {len(repo.experiments())} experiment(s)")
-    return 0
-
-
 def _cmd_repo(args) -> int:
     handlers = {
         "ingest": _repo_ingest,
@@ -901,7 +870,7 @@ def _cmd_repo(args) -> int:
 
 
 def _repo_ingest(args) -> int:
-    from repro.repo import Warehouse, WriteBehindIngester
+    from repro.repo import IngestQueueError, Warehouse, WriteBehindIngester
 
     with Warehouse(args.root) as warehouse:
         recovery = warehouse.last_recovery
@@ -909,19 +878,18 @@ def _repo_ingest(args) -> int:
         if recovered:
             print(f"recovered {recovered} in-flight ingest(s) from a previous "
                   f"session: {recovery}", file=sys.stderr)
-        if args.sync:
-            results = [
-                warehouse.ingest(db, force=args.force) for db in args.databases
-            ]
-        else:
-            with WriteBehindIngester(
-                warehouse, batch_size=args.batch_size
-            ) as queue:
+        errors = {}
+        try:
+            with WriteBehindIngester(warehouse) as queue:
                 for db in args.databases:
                     queue.submit(db, force=args.force)
                 results = queue.flush()
-        for result in results:
-            if result.duplicate:
+        except IngestQueueError as exc:
+            results, errors = exc.results, exc.errors
+        for index, (db, result) in enumerate(zip(args.databases, results)):
+            if result is None:
+                print(f"failed: {db}: {errors[index]}")
+            elif result.duplicate:
                 print(f"{result.source}: duplicate of experiment "
                       f"#{result.exp_id} (same Table-I digest), skipped")
             else:
@@ -929,6 +897,10 @@ def _repo_ingest(args) -> int:
                       f"#{result.exp_id}")
         print(f"warehouse holds {len(warehouse.experiments())} experiment(s) "
               f"in {len(warehouse.partitions())} partition(s)")
+    if errors:
+        print(f"error: {len(errors)} of {len(args.databases)} package(s) "
+              f"failed to ingest", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -1124,7 +1096,6 @@ _COMMANDS = {
     "timeline": _cmd_timeline,
     "report": _cmd_report,
     "condition": _cmd_condition,
-    "import": _cmd_import,
     "repo": _cmd_repo,
     "trace": _cmd_trace,
     "metrics": _cmd_metrics,

@@ -25,7 +25,7 @@ from repro.repo.fingerprint import (
     fingerprint_package,
 )
 from repro.repo.journal import IngestJournal
-from repro.repo.queue import WriteBehindIngester
+from repro.repo.queue import IngestQueueError, WriteBehindIngester
 from repro.repo.shard import ShardExperimentView
 from repro.repo.warehouse import IngestResult, Warehouse
 
@@ -34,6 +34,7 @@ __all__ = [
     "Catalog",
     "ExperimentKey",
     "IngestJournal",
+    "IngestQueueError",
     "IngestResult",
     "ShardExperimentView",
     "Warehouse",

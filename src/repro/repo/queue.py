@@ -20,7 +20,9 @@ same window a caller of the synchronous API has before calling it.
 
 If a whole batch fails, the queue degrades to per-package ingests so a
 single corrupt file poisons only itself; its error is recorded against
-its submission and re-raised by :meth:`WriteBehindIngester.flush`.
+its submission and :meth:`WriteBehindIngester.flush` raises
+:class:`IngestQueueError`, which still carries every submission's
+outcome.
 """
 
 from __future__ import annotations
@@ -36,9 +38,28 @@ from repro.obs.metrics import get_registry
 from repro.repo.fingerprint import fingerprint_package
 from repro.repo.warehouse import IngestResult, Warehouse
 
-__all__ = ["WriteBehindIngester"]
+__all__ = ["IngestQueueError", "WriteBehindIngester"]
+
+#: Threads fingerprinting submitted packages ahead of the drain thread.
+PREP_WORKERS = 4
+#: Seconds the drain thread waits for stragglers to fill a batch.
+BATCH_WINDOW_S = 0.02
 
 _SENTINEL = object()
+
+
+class IngestQueueError(StorageError):
+    """Some submissions failed.  *results* holds every submission's
+    outcome in submission order (``None`` where it failed); *errors*
+    maps the failed submission indexes to their messages."""
+
+    def __init__(
+        self, results: List[Optional[IngestResult]], errors: Dict[int, str]
+    ) -> None:
+        detail = "; ".join(f"#{i}: {msg}" for i, msg in sorted(errors.items()))
+        super().__init__(f"ingest queue failures: {detail}")
+        self.results = results
+        self.errors = errors
 
 
 class WriteBehindIngester:
@@ -48,17 +69,14 @@ class WriteBehindIngester:
         self,
         warehouse: Warehouse,
         batch_size: int = 16,
-        prep_workers: int = 4,
-        batch_window: float = 0.02,
     ) -> None:
         if batch_size < 1:
             raise StorageError("batch_size must be >= 1")
         self.warehouse = warehouse
         self.batch_size = batch_size
-        self.batch_window = batch_window
         self._queue: "queue.Queue[Any]" = queue.Queue()
         self._pool = ThreadPoolExecutor(
-            max_workers=max(1, prep_workers),
+            max_workers=PREP_WORKERS,
             thread_name_prefix="repo-fingerprint",
         )
         self._lock = threading.Lock()
@@ -97,8 +115,8 @@ class WriteBehindIngester:
     def flush(self) -> List[Optional[IngestResult]]:
         """Block until everything submitted so far has been ingested.
 
-        Returns results in submission order (``None`` for a submission
-        that failed) and raises :class:`StorageError` if any did.
+        Returns results in submission order and raises
+        :class:`IngestQueueError` if any submission failed.
         """
         with self._done:
             target = self._submitted
@@ -107,10 +125,7 @@ class WriteBehindIngester:
             results = [self._results.get(i) for i in range(target)]
             errors = dict(self._errors)
         if errors:
-            detail = "; ".join(
-                f"#{i}: {msg}" for i, msg in sorted(errors.items())
-            )
-            raise StorageError(f"ingest queue failures: {detail}")
+            raise IngestQueueError(results, errors)
         return results
 
     def close(self) -> List[Optional[IngestResult]]:
@@ -153,7 +168,7 @@ class WriteBehindIngester:
                 try:
                     nxt = self._queue.get(
                         block=len(batch) < self.batch_size,
-                        timeout=self.batch_window,
+                        timeout=BATCH_WINDOW_S,
                     )
                 except queue.Empty:
                     break

@@ -1,6 +1,8 @@
-"""CLI surface of the L4 warehouse (`repro repo`) and the legacy alias."""
+"""CLI surface of the L4 warehouse (`repro repo`)."""
 
 import sqlite3
+
+import pytest
 
 from repro.cli import main
 
@@ -26,11 +28,26 @@ def test_repo_ingest_and_list(make_level3, tmp_path, capsys):
     assert "3 experiment(s), 2 partition(s)" in out  # forced copy listed too
 
 
-def test_repo_ingest_sync_path(make_level3, tmp_path, capsys):
+def test_repo_ingest_reports_every_package_when_one_fails(
+    make_level3, tmp_path, capsys
+):
     root = tmp_path / "wh"
-    db = make_level3("alpha")
-    assert main(["repo", "ingest", str(root), str(db), "--sync"]) == 0
-    assert "warehouse holds 1 experiment(s)" in capsys.readouterr().out
+    alpha = make_level3("alpha")
+    bad = tmp_path / "bad.db"
+    bad.write_bytes(b"this is not a database")
+    beta = make_level3("beta", t0=40.0)
+    assert main(["repo", "ingest", str(root), str(alpha), str(bad),
+                 str(beta)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == f"ingested {alpha} as experiment #1"
+    assert lines[1].startswith(f"failed: {bad}: ")
+    assert lines[2] == f"ingested {beta} as experiment #2"
+    assert lines[3] == "warehouse holds 2 experiment(s) in 2 partition(s)"
+    assert "1 of 3 package(s) failed" in captured.err
+
+    assert main(["repo", "list", str(root)]) == 0
+    assert "2 experiment(s)" in capsys.readouterr().out
 
 
 def test_repo_query_kinds(make_level3, tmp_path, capsys):
@@ -89,18 +106,12 @@ def test_repo_regression_check_pass_and_drift(make_level3, tmp_path, capsys):
     assert "FAILED" in captured.err
 
 
-def test_import_alias_is_deprecated_but_compatible(
-    make_level3, tmp_path, capsys
-):
-    repo = tmp_path / "legacy.db"
+def test_import_alias_and_sync_flag_are_gone(make_level3, tmp_path):
     db = make_level3("alpha")
-    assert main(["import", str(repo), str(db)]) == 0
-    captured = capsys.readouterr()
-    assert "repository now holds 1 experiment(s)" in captured.out
-    assert "deprecated" in captured.err
-    # The alias inherits import_experiment's dedup: importing the same
-    # package twice resolves to the same experiment.
-    assert main(["import", str(repo), str(db)]) == 0
-    out = capsys.readouterr().out
-    assert "imported" in out and "as experiment #1" in out
-    assert "repository now holds 1 experiment(s)" in out
+    for argv in (
+        ["import", str(tmp_path / "legacy.db"), str(db)],
+        ["repo", "ingest", str(tmp_path / "wh"), str(db), "--sync"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

@@ -7,6 +7,7 @@ import pytest
 from repro.core.errors import StorageError
 from repro.repo import (
     IngestJournal,
+    IngestQueueError,
     Warehouse,
     WriteBehindIngester,
     fingerprint_package,
@@ -129,6 +130,13 @@ def test_shard_view_matches_level3_reader(warehouse, make_level3):
         assert view.run_ids() == level3.run_ids()
         assert view.node_ids() == level3.node_ids()
         assert view.plan() == level3.plan()
+    # Reads are scoped to one ExpID: a forced second copy shares the
+    # shard but not the rows.
+    copy = warehouse.ingest(db, force=True).exp_id
+    assert warehouse.events(copy) == view.events()
+    adds = warehouse.events(exp_id, event_type="sd_service_add")
+    assert adds and {e["name"] for e in adds} == {"sd_service_add"}
+    assert warehouse.events(exp_id, event_type="nope") == []
 
 
 def test_resolve_by_id_and_name(warehouse, make_level3):
@@ -138,6 +146,8 @@ def test_resolve_by_id_and_name(warehouse, make_level3):
     assert warehouse.resolve("alpha") == exp_id
     with pytest.raises(StorageError):
         warehouse.resolve("ghost")
+    with pytest.raises(StorageError):
+        warehouse.experiment_id_by_name("ghost")
     with pytest.raises(StorageError):
         warehouse.resolve(999)
 
@@ -370,9 +380,11 @@ def test_queue_isolates_corrupt_package(warehouse, make_level3, tmp_path):
     queue = WriteBehindIngester(warehouse, batch_size=4)
     queue.submit(good)
     queue.submit(bad)
-    with pytest.raises(StorageError, match="ingest queue failures"):
+    with pytest.raises(IngestQueueError, match="ingest queue failures") as exc:
         queue.close()
     assert len(warehouse.experiments()) == 1  # the good one landed
+    assert exc.value.results[0].source == str(good)
+    assert exc.value.results[1] is None and list(exc.value.errors) == [1]
 
 
 def test_queue_rejects_submissions_after_close(warehouse, make_level3):

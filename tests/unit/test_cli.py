@@ -64,7 +64,7 @@ def test_describe_with_plan(desc_xml, capsys):
     assert "treatment plan" in out
 
 
-def test_run_inspect_timeline_condition_import(desc_xml, tmp_path, capsys):
+def test_run_inspect_timeline_condition_ingest(desc_xml, tmp_path, capsys):
     store = tmp_path / "l2"
     db = tmp_path / "exp.db"
     assert main(["run", str(desc_xml), "--store", str(store),
@@ -84,16 +84,18 @@ def test_run_inspect_timeline_condition_import(desc_xml, tmp_path, capsys):
     assert main(["timeline", str(db), "--run", "99"]) == 1
 
     # Condition the same level-2 store into a second database: identical
-    # content, so importing both dedups onto one catalogued experiment.
+    # content, so ingesting both dedups onto one catalogued experiment.
     db2 = tmp_path / "exp2.db"
     assert main(["condition", str(store), str(db2)]) == 0
     assert db2.exists()
+    capsys.readouterr()
 
-    repo = tmp_path / "repo.db"
-    assert main(["import", str(repo), str(db), str(db2)]) == 0
+    assert main(["repo", "ingest", str(tmp_path / "wh"), str(db),
+                 str(db2)]) == 0
     out = capsys.readouterr().out
-    assert out.count("as experiment #1") == 2
-    assert "repository now holds 1 experiment(s)" in out
+    assert f"ingested {db} as experiment #1" in out
+    assert f"{db2}: duplicate of experiment #1" in out
+    assert "warehouse holds 1 experiment(s)" in out
 
 
 def test_run_resume_flow(desc_xml, tmp_path, capsys):
